@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,8 +24,7 @@ import numpy as np
 
 from ._hash import pair_uniform, seed_word
 from .condition import condition_sides
-from .elections import run_election
-from .montecarlo import sample_candidates
+from .montecarlo import _fan_out, _trials
 from .scoring import RuleFamily
 from .spaces import MetricSpace
 
@@ -195,14 +193,6 @@ class AdversarialInstance:
     seed: int
     space: MetricSpace
 
-    def is_far(self, location) -> bool:
-        return location >= self.params.near_locations
-
-    def atom_position(self, location) -> float:
-        return float(
-            self.space._block_fn.atom_positions[location - self.params.near_locations]
-        )
-
 
 def atom_positions(m_atoms: int) -> np.ndarray:
     """Far-atom midpoints 1 + (j + 1/2)/M discretizing the interval [1, 2]."""
@@ -329,14 +319,11 @@ class ExperimentReport:
 
 
 def _experiment_batch(params, seed, vector, start, count):
-    instance = build_instance(params, seed)
-    space = instance.space
+    # built per batch, so a fanned-out parent never realizes the instance
+    space = build_instance(params, seed).space
     floor = params.near_mass * params.cluster_distance
     records = []
-    for t in range(start, start + count):
-        slate = sample_candidates(space, params.n_candidates, seed, t)
-        event = check_event(params, slate)
-        outcome = run_election(space, slate, vector, exact=False)
+    for t, slate, outcome in _trials(space, vector, seed, start, count):
         winner_far = bool(slate[outcome.winner] >= params.near_locations)
         if winner_far and outcome.winner_cost < floor - _COST_TOL:
             raise RuntimeError(
@@ -346,7 +333,7 @@ def _experiment_batch(params, seed, vector, start, count):
         records.append(
             TrialRecord(
                 trial=t,
-                event=event,
+                event=check_event(params, slate),
                 far_candidates=int((slate >= params.near_locations).sum()),
                 winner_from_far=winner_far,
                 distortion=float(outcome.distortion),
@@ -387,23 +374,12 @@ def run_experiment(
             "far-cluster takeover argument does not apply to this rule"
         )
 
-    if jobs <= 1 or trials < 4:
-        records = _experiment_batch(params, seed, vector, 0, trials)
-    else:
-        step = -(-trials // jobs)
-        ranges = [(off, min(step, trials - off)) for off in range(0, trials, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _experiment_batch,
-                *zip(*[(params, seed, vector, s, c) for s, c in ranges]),
-            )
-            records = [r for part in parts for r in part]
-
+    parts = _fan_out(_experiment_batch, (params, seed, vector), 0, trials, jobs)
     return ExperimentReport(
         params=params,
         family_spec=family.spec,
         seed=seed,
         trials=trials,
         condition_holds_at_cap=bool(condition_holds),
-        records=tuple(records),
+        records=tuple(r for part in parts for r in part),
     )

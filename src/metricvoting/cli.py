@@ -58,6 +58,14 @@ def _frac_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
+def rational(text: str) -> Fraction:
+    """``Fraction(text)`` with a zero denominator rejected as bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _load_source(args, seed):
     """Resolve the --space/--random space source (exactly one)."""
     has_file = getattr(args, "space", None) is not None
@@ -169,7 +177,7 @@ def cmd_estimate(args) -> int:
             writer.writerows(est.winner_distance_histogram)
     if args.probe_z is not None:
         probe = montecarlo.sufficiency_probe(
-            space, family, args.n, args.trials, seed, Fraction(args.probe_z)
+            space, family, args.n, args.trials, seed, args.probe_z
         )
         fh = _open_out(args.probe_out)
         try:
@@ -187,7 +195,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_scan(args) -> int:
     family = parse_family(args.family)
-    y_grid = [Fraction(tok) for tok in args.y_grid.split(",")] if args.y_grid else condition.DEFAULT_Y_GRID
+    y_grid = [rational(tok) for tok in args.y_grid.split(",")] if args.y_grid else condition.DEFAULT_Y_GRID
     report = condition.scan(family, y_grid, args.n_min, args.n_max)
     out = _open_out(args.out)
     try:
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=_default_jobs())
-    p.add_argument("--probe-z", help="also run the sufficiency probe at this z")
+    p.add_argument("--probe-z", type=rational, help="also run the sufficiency probe at this z")
     p.add_argument("--probe-out")
     p.add_argument("--histogram-out")
     p.add_argument("--out")

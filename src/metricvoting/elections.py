@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scoring import ScoringVector, float_scores, parse_family
+from .scoring import ScoringVector, parse_family
 from .spaces import MetricSpace, random_space
 
 #: distance-block row chunk for large derived spaces
@@ -35,8 +35,7 @@ class ElectionOutcome:
 
     ``distortion`` is winner_cost/optimum_cost, 1 when both costs are zero,
     and ``math.inf`` (with the trial meant to be flagged, never averaged)
-    when only the optimum cost is zero.  ``rankings`` is populated only on
-    request: row per location, entry r gives the candidate ranked r-th.
+    when only the optimum cost is zero.
     """
 
     scores: tuple
@@ -45,7 +44,6 @@ class ElectionOutcome:
     winner_cost: object
     optimum_cost: object
     distortion: object
-    rankings: Optional[np.ndarray] = None
 
     @property
     def infinite(self) -> bool:
@@ -58,27 +56,58 @@ def _distortion(winner_cost, optimum_cost):
     return winner_cost / optimum_cost
 
 
+def _outcome(scores, costs, winner: int, optimum: int) -> ElectionOutcome:
+    return ElectionOutcome(
+        scores=tuple(scores),
+        winner=winner,
+        optimum=optimum,
+        winner_cost=costs[winner],
+        optimum_cost=costs[optimum],
+        distortion=_distortion(costs[winner], costs[optimum]),
+    )
+
+
+def _checked_slate(space: MetricSpace, slate) -> np.ndarray:
+    slate = np.asarray(slate, dtype=np.int64)
+    if slate.size == 0:
+        raise ValueError("slate must contain at least one candidate")
+    if slate.min() < 0 or slate.max() >= space.npoints:
+        raise ValueError("slate entries must be valid point indices")
+    return slate
+
+
+def _ranked_blocks(space: MetricSpace, slate: np.ndarray, exact: bool):
+    """Yield (rows, dist, order) over all locations: dist holds distances to
+    the candidates, order ranks them by (distance, candidate index).  Exact
+    mode yields one location of Fractions at a time, float mode row chunks."""
+    if exact:
+        slate = slate.tolist()
+        candidates = range(len(slate))
+        for omega, row in enumerate(space.matrix_exact):
+            dist = [row[c] for c in slate]
+            # a stable sort by distance breaks ties by candidate index
+            yield omega, dist, sorted(candidates, key=dist.__getitem__)
+        return
+    for start in range(0, space.npoints, _CHUNK_ROWS):
+        rows = np.arange(start, min(start + _CHUNK_ROWS, space.npoints))
+        dist = space.dist_block(rows[:, None], slate[None, :])
+        yield rows, dist, np.argsort(dist, axis=1, kind="stable")
+
+
 def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
     """Per-location rankings: row omega lists candidate indices by
     (distance, candidate index) ascending."""
-    slate = np.asarray(slate, dtype=np.int64)
-    if slate.size == 0 or slate.min() < 0 or slate.max() >= space.npoints:
-        raise ValueError("slate entries must be valid point indices")
-    if space.exact:
-        out = np.empty((space.npoints, slate.size), dtype=np.int64)
-        for omega in range(space.npoints):
-            row = space.matrix_exact[omega]
-            out[omega] = sorted(range(slate.size), key=lambda i: (row[slate[i]], i))
-        return out
-    dist = space.dist_block(np.arange(space.npoints)[:, None], slate[None, :])
-    return np.argsort(dist, axis=1, kind="stable")
+    slate = _checked_slate(space, slate)
+    table = np.empty((space.npoints, slate.size), dtype=np.int64)
+    for rows, _, order in _ranked_blocks(space, slate, space.exact):
+        table[rows] = order
+    return table
 
 
 def run_election(
     space: MetricSpace,
     slate: Sequence[int],
     vector: ScoringVector,
-    keep_rankings: bool = False,
     exact: Optional[bool] = None,
 ) -> ElectionOutcome:
     """Score a slate of candidate locations under one scoring vector.
@@ -88,82 +117,43 @@ def run_election(
         slate: candidate locations (point indices; duplicates allowed;
             candidate identity is array position).
         vector: scoring vector with vector.n == len(slate).
-        keep_rankings: also return the per-location permutation table.
         exact: force (True) or forbid (False) exact arithmetic; default uses
             exact arithmetic exactly when the space stores rationals.
     """
-    slate = list(int(c) for c in slate)
-    n = len(slate)
-    if n < 1:
-        raise ValueError("slate must contain at least one candidate")
-    if any(not 0 <= c < space.npoints for c in slate):
-        raise ValueError("slate entries must be valid point indices")
-    if vector.n != n:
-        raise ValueError(f"scoring vector is for n={vector.n}, slate has {n}")
+    slate = _checked_slate(space, slate)
+    if vector.n != slate.size:
+        raise ValueError(f"scoring vector is for n={vector.n}, slate has {slate.size}")
     if exact is None:
         exact = space.exact
     if exact and not space.exact:
         raise ValueError("exact election requires an exact space")
-
-    if exact:
-        return _run_exact(space, slate, vector, keep_rankings)
-    return _run_float(space, np.asarray(slate, dtype=np.int64), vector, keep_rankings)
+    return (_run_exact if exact else _run_float)(space, slate, vector)
 
 
-def _run_exact(space, slate, vector, keep_rankings):
-    n = len(slate)
+def _run_exact(space, slate, vector):
+    n = slate.size
     scores = [Fraction(0)] * n
     costs = [Fraction(0)] * n
-    table = np.empty((space.npoints, n), dtype=np.int64) if keep_rankings else None
-    for omega in range(space.npoints):
-        row = space.matrix_exact[omega]
+    for omega, dist, order in _ranked_blocks(space, slate, exact=True):
         mass = space.mass_exact[omega]
-        order = sorted(range(n), key=lambda i: (row[slate[i]], i))
-        if table is not None:
-            table[omega] = order
         for pos, cand in enumerate(order):
             scores[cand] += mass * vector.scores[pos]
         for cand in range(n):
-            costs[cand] += mass * row[slate[cand]]
+            costs[cand] += mass * dist[cand]
     winner = max(range(n), key=lambda i: (scores[i], -i))
     optimum = min(range(n), key=lambda i: (costs[i], i))
-    return ElectionOutcome(
-        scores=tuple(scores),
-        winner=winner,
-        optimum=optimum,
-        winner_cost=costs[winner],
-        optimum_cost=costs[optimum],
-        distortion=_distortion(costs[winner], costs[optimum]),
-        rankings=table,
-    )
+    return _outcome(scores, costs, winner, optimum)
 
 
-def _run_float(space, slate, vector, keep_rankings):
+def _run_float(space, slate, vector):
     n = slate.size
-    svec = float_scores(vector)
     scores = np.zeros(n)
     costs = np.zeros(n)
-    table = np.empty((space.npoints, n), dtype=np.int64) if keep_rankings else None
-    for start in range(0, space.npoints, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, space.npoints))
-        dist = space.dist_block(rows[:, None], slate[None, :])
-        order = np.argsort(dist, axis=1, kind="stable")
-        if table is not None:
-            table[rows] = order
-        weights = space.mass[rows][:, None] * svec[None, :]
+    for rows, dist, order in _ranked_blocks(space, slate, exact=False):
+        weights = space.mass[rows][:, None] * vector.float_scores[None, :]
         scores += np.bincount(order.ravel(), weights=weights.ravel(), minlength=n)
         costs += space.mass[rows] @ dist
-    winner = int(np.argmax(scores))
-    optimum = int(np.argmin(costs))
-    return ElectionOutcome(
-        scores=tuple(float(s) for s in scores),
-        winner=winner,
-        optimum=optimum,
-        winner_cost=float(costs[winner]),
-        optimum_cost=float(costs[optimum]),
-        distortion=_distortion(float(costs[winner]), float(costs[optimum])),
-        rankings=table,
-    )
+    return _outcome(scores.tolist(), costs.tolist(), int(np.argmax(scores)), int(np.argmin(costs)))
 
 
 def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> ElectionOutcome:
@@ -175,7 +165,6 @@ def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> Ele
     zero = Fraction(0) if space.exact else 0.0
     scores = [zero] * n
     costs = [zero] * n
-    perms = []
     for omega in range(space.npoints):
         dists = [space.distance(omega, slate[i]) for i in range(n)]
         # selection "sort" by (distance, index), written out longhand
@@ -188,7 +177,6 @@ def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> Ele
                     best = i
             remaining.remove(best)
             order.append(best)
-        perms.append(tuple(order))
         m = space.mass_exact[omega] if space.exact else float(space.mass[omega])
         for pos in range(n):
             scores[order[pos]] = scores[order[pos]] + m * vector.scores[pos]
@@ -209,7 +197,6 @@ def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> Ele
         winner_cost=costs[winner],
         optimum_cost=costs[optimum],
         distortion=_distortion(costs[winner], costs[optimum]),
-        rankings=np.array(perms, dtype=np.int64),
     )
 
 

@@ -89,17 +89,35 @@ def _summarize(distortions, winner_distances, knots, trial_start) -> Estimate:
     )
 
 
-def _trial_batch(space, vector, n, seed, start, count, median_index):
+def _trials(space, vector, seed, start, count):
+    """Yield (t, slate, outcome) for trials start..start+count-1: each trial
+    draws its keyed slate and runs one float election on it."""
+    for t in range(start, start + count):
+        slate = sample_candidates(space, vector.n, seed, t)
+        yield t, slate, run_election(space, slate, vector, exact=False)
+
+
+def _fan_out(fn, args, start, count, jobs):
+    """Run ``fn(*args, s, c)`` over contiguous trial ranges (s, c) covering
+    [start, start + count) and return the parts in trial order; ranges go to
+    ``jobs`` worker processes unless jobs <= 1 or there are under 4 trials."""
+    if jobs <= 1 or count < 4:
+        return [fn(*args, start, count)]
+    step = -(-count // jobs)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [
+            pool.submit(fn, *args, start + off, min(step, count - off))
+            for off in range(0, count, step)
+        ]
+        return [f.result() for f in futures]
+
+
+def _trial_batch(space, vector, seed, dist_from_o, start, count):
     dstr = np.empty(count)
     wdist = np.empty(count)
-    for i in range(count):
-        t = start + i
-        slate = sample_candidates(space, n, seed, t)
-        outcome = run_election(space, slate, vector, exact=False)
+    for i, (_, slate, outcome) in enumerate(_trials(space, vector, seed, start, count)):
         dstr[i] = float(outcome.distortion)
-        wdist[i] = float(
-            space.dist_block(np.asarray([median_index]), np.asarray([int(slate[outcome.winner])]))[0]
-        )
+        wdist[i] = dist_from_o[slate[outcome.winner]]
     return dstr, wdist
 
 
@@ -116,27 +134,11 @@ def estimate_distortion(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     vector = family.score_vector(n)
-    median_index = one_median(space)
-    knots = np.unique(space.distances_from(median_index))
-
-    if jobs <= 1 or trials < 4:
-        dstr, wdist = _trial_batch(space, vector, n, seed, trial_start, trials, median_index)
-    else:
-        step = -(-trials // jobs)
-        ranges = [
-            (trial_start + off, min(step, trials - off))
-            for off in range(0, trials, step)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    _trial_batch,
-                    *zip(*[(space, vector, n, seed, s, c, median_index) for s, c in ranges]),
-                )
-            )
-        dstr = np.concatenate([p[0] for p in parts])
-        wdist = np.concatenate([p[1] for p in parts])
-    return _summarize(dstr, wdist, knots, trial_start)
+    dist_from_o = space.distances_from(one_median(space))
+    parts = _fan_out(_trial_batch, (space, vector, seed, dist_from_o), trial_start, trials, jobs)
+    dstr = np.concatenate([p[0] for p in parts])
+    wdist = np.concatenate([p[1] for p in parts])
+    return _summarize(dstr, wdist, np.unique(dist_from_o), trial_start)
 
 
 def merge_estimates(a: Estimate, b: Estimate) -> Estimate:
@@ -240,16 +242,14 @@ def sufficiency_probe(
     at_least = np.nonzero(ball_mass >= tilde_y - 1e-12)[0]
     r_tilde = float(knots[at_least[0]])
     grid = knots[knots >= r_tilde]
-    v_of_r = np.array([1.0 - float(space.mass[dist_from_o <= r].sum()) for r in grid])
+    v_of_r = 1.0 - ball_mass[knots >= r_tilde]
 
     threshold = (1.0 - z) * n
     events = np.zeros(grid.size, dtype=np.int64)
     escapes = np.zeros(grid.size, dtype=np.int64)
     violations = np.zeros(grid.size, dtype=np.int64)
-    for t in range(trials):
-        slate = sample_candidates(space, n, seed, t)
+    for _, slate, outcome in _trials(space, vector, seed, 0, trials):
         cand_d = dist_from_o[slate]
-        outcome = run_election(space, slate, vector, exact=False)
         wd = float(dist_from_o[slate[outcome.winner]])
         outside = (cand_d[:, None] > grid[None, :]).sum(axis=0)
         event = outside > threshold

@@ -8,12 +8,13 @@ materialize vectors, plus the pointwise limit rule f(x) where one exists.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
+
+from .spaces import parse_number
 
 Rational = Union[int, Fraction]
 
@@ -24,11 +25,13 @@ class ScoringVector:
 
     scores are exact rationals, non-increasing, with scores[0] == 1 and
     scores[n-1] == 0.  The degenerate n == 1 vector (1,) is permitted so a
-    single-candidate election is representable.
+    single-candidate election is representable.  ``float_scores`` is the
+    read-only float64 copy the float election path consumes.
     """
 
     n: int
     scores: tuple
+    float_scores: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or len(self.scores) != self.n:
@@ -39,17 +42,9 @@ class ScoringVector:
             raise ValueError("scores must end at 0")
         if any(a < b for a, b in zip(self.scores, self.scores[1:])):
             raise ValueError("scores must be non-increasing")
-
-
-@functools.lru_cache(maxsize=512)
-def _float_scores(scores: tuple) -> np.ndarray:
-    arr = np.array([float(s) for s in scores])
-    arr.setflags(write=False)
-    return arr
-
-
-def float_scores(vector: ScoringVector) -> np.ndarray:
-    return _float_scores(vector.scores)
+        floats = np.array([float(s) for s in self.scores])
+        floats.setflags(write=False)
+        object.__setattr__(self, "float_scores", floats)
 
 
 @dataclass(frozen=True)
@@ -217,7 +212,8 @@ class Dowdall(RuleFamily):
 
 
 class TableFamily(RuleFamily):
-    """Raw score rows read from a table file, one ``n: v0 v1 ...`` per line.
+    """Raw score rows read from a table file, one ``n: v0 v1 ...`` per line,
+    numbers written as in space files (``spaces.parse_number``).
 
     Rows are normalized on access; the limit rule of a finitely-specified
     table is unknowable, so limit queries are undefined.
@@ -237,7 +233,7 @@ class TableFamily(RuleFamily):
                     head, _, rest = text.partition(":")
                     try:
                         n = int(head)
-                        values = [Fraction(t) if "/" in t else Fraction(float(t)) if "." in t else Fraction(int(t)) for t in rest.split()]
+                        values = [Fraction(parse_number(t, lineno)) for t in rest.split()]
                     except ValueError:
                         raise ValueError(f"{path}:{lineno}: bad table row {text!r}") from None
                     if len(values) != n:
@@ -264,9 +260,6 @@ class TableFamily(RuleFamily):
     def limit_value(self, x):
         _check_x(x)
         return UNDEFINED_LIMIT
-
-
-BUILTIN_FAMILIES = ("plurality", "veto", "borda", "dowdall")
 
 
 def parse_family(spec: str) -> RuleFamily:

@@ -143,11 +143,6 @@ class MetricSpace:
             return self.matrix[i]
         return self.dist_block(np.full(self.npoints, i), np.arange(self.npoints))
 
-    def distances_from_exact(self, i: int):
-        if self.matrix_exact is None:
-            raise ValueError("space has no exact stored distances")
-        return self.matrix_exact[i]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -356,7 +351,8 @@ def _format_number(value) -> str:
     return repr(float(value))
 
 
-def _parse_number(token: str, line: int):
+def parse_number(token: str, line: int):
+    """One number of a space or table file, per the module docstring."""
     try:
         if "/" in token:
             return Fraction(token)
@@ -451,7 +447,7 @@ def load_space(path, validate_axioms: bool = True, triple_cap: int = DEFAULT_TRI
     lineno, tokens = take("mass")
     if tokens[0] != "mass":
         raise SpaceFormatError("expected 'mass ...'", lineno)
-    masses = [_parse_number(t, lineno) for t in tokens[1:]]
+    masses = [parse_number(t, lineno) for t in tokens[1:]]
     if len(masses) != npts:
         raise SpaceFormatError(f"expected {npts} masses, got {len(masses)}", lineno)
 
@@ -466,7 +462,7 @@ def load_space(path, validate_axioms: bool = True, triple_cap: int = DEFAULT_TRI
             if len(tokens) != i:
                 raise SpaceFormatError(f"matrix row {i} needs {i} entries, got {len(tokens)}", lineno)
             for j, tok in enumerate(tokens):
-                rows[i][j] = rows[j][i] = _parse_number(tok, lineno)
+                rows[i][j] = rows[j][i] = parse_number(tok, lineno)
         matrix = rows
     elif tokens == ["coords"]:
         coords = []
@@ -475,7 +471,7 @@ def load_space(path, validate_axioms: bool = True, triple_cap: int = DEFAULT_TRI
             lineno, tokens = take("coordinate row")
             if tokens[0] == "metric":
                 raise SpaceFormatError(f"expected {npts} coordinate rows", lineno)
-            row = [_parse_number(t, lineno) for t in tokens]
+            row = [parse_number(t, lineno) for t in tokens]
             if width is None:
                 width = len(row)
             elif len(row) != width:

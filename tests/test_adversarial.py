@@ -208,6 +208,16 @@ def test_experiment_parallel_matches_serial():
     assert serial.records == parallel.records
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_experiment_uneven_fan_out_matches_serial():
+    # 5 trials over 2 workers: ranges of 3 and 2
+    kwargs = dict(n_override=12, big_n_override=256, m_atoms=32)
+    serial = run_experiment(1.25, Plurality(), 5, seed=8, jobs=1, **kwargs)
+    parallel = run_experiment(1.25, Plurality(), 5, seed=8, jobs=2, **kwargs)
+    assert [r.trial for r in serial.records] == list(range(5))
+    assert serial.records == parallel.records
+
+
 def test_premise_warning_for_borda_control():
     with pytest.warns(UserWarning, match="does not apply"):
         report = run_experiment(1.25, Borda(), trials=4, seed=2,

@@ -173,3 +173,31 @@ def test_probe_output(line_file, tmp_path):
     assert code == 0
     lines = probe_path.read_text().strip().splitlines()
     assert lines[1] == "r,outside_mass,event_count,winner_outside_count,violation_count"
+
+
+@pytest.mark.parametrize("row, code", [("1 1e-3 0", 0), ("1 1.0e400 0", 2)])
+def test_scan_table_file_numbers(tmp_path, capsys, row, code):
+    path = tmp_path / "scores.table"
+    path.write_text(f"3: {row}\n")
+    got, out = run_cli("scan", "--family", f"table:{path}", "--n-min", "3", "--n-max", "3")
+    assert got == code
+    if code:
+        assert out == "" and capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--family", "borda", "--y-grid", "1/2,1/0", "--n-max", "20"),
+    ("estimate", "--random", "6,uniform-box-L2", "--family", "borda", "--n", "3",
+     "--trials", "5", "--seed", "1", "--probe-z", "1/0"),
+])
+def test_zero_denominator_flags_are_input_errors(capsys, argv):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "error:" in capsys.readouterr().err
+
+
+def test_decimal_y_grid_is_exact():
+    code, out = run_cli("scan", "--family", "borda", "--y-grid", "0.9",
+                        "--n-min", "11", "--n-max", "11")
+    assert code == 0
+    assert out.splitlines()[2] == "borda,9,10,11,81/20,27/50,1"

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricvoting import (
     MetricSpace,
@@ -29,6 +31,20 @@ def test_rankings_colocated_candidate_first():
     # voter at 0: candidate 1 sits on it; co-located 0 and 2 follow in index order
     assert table[0].tolist() == [1, 0, 2]
     assert table[1].tolist() == [0, 2, 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rankings_exact_equal_float_copy_on_dyadic_line(data):
+    # quarter-step coordinates are exact in float64 and tie often, both
+    # between distinct locations and between colocated candidates
+    coords = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=7))
+    npts = len(coords)
+    slate = data.draw(st.lists(st.integers(0, npts - 1), min_size=1, max_size=6))
+    exact = MetricSpace([F(1, npts)] * npts, matrix=[[F(abs(a - b), 4) for b in coords] for a in coords])
+    floated = MetricSpace(exact.mass, matrix=exact.matrix)
+    assert exact.exact and not floated.exact
+    assert np.array_equal(rankings(exact, slate), rankings(floated, slate))
 
 
 def test_rankings_reject_bad_slate(line_space):
@@ -129,12 +145,6 @@ def test_float_and_exact_paths_agree_on_dyadic_space():
     assert floated.winner == exact.winner
     assert floated.optimum == exact.optimum
     assert all(float(a) == b for a, b in zip(exact.scores, floated.scores))
-
-
-def test_keep_rankings_table(line_space):
-    out = run_election(line_space, [0, 1, 2], score_vector(Borda(), 3), keep_rankings=True)
-    assert out.rankings.shape == (3, 3)
-    assert out.rankings[1].tolist() == [1, 0, 2]
 
 
 def test_oracle_sweep_clean():

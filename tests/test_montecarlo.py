@@ -97,6 +97,19 @@ def test_parallel_jobs_identical():
     assert np.array_equal(serial.distortions, parallel.distortions)
 
 
+def test_parallel_jobs_identical_with_offset_and_uneven_ranges():
+    space = random_space(4, 12, "uniform-box-L2")
+    whole = estimate_distortion(space, Borda(), 5, trials=12, seed=9)
+    runs = [
+        estimate_distortion(space, Borda(), 5, trials=7, seed=9, trial_start=5, jobs=jobs)
+        for jobs in (1, 2, 3)
+    ]
+    for est in runs:
+        assert est == runs[0]
+        assert est.distortions.tobytes() == whole.distortions[5:].tobytes()
+        assert est.winner_distances.tobytes() == whole.winner_distances[5:].tobytes()
+
+
 def test_linear_distortion_envelope():
     # expected distortion of n sampled candidates never beats n+1 by much
     for seed in range(4):

@@ -158,6 +158,18 @@ def test_table_family(tmp_path):
         fam.score_vector(5)
 
 
+def test_table_rows_use_space_number_syntax(tmp_path):
+    path = tmp_path / "scores.table"
+    path.write_text("3: 1 1e-3 0\n4: +2 1/2 0.1 0\n")
+    fam = TableFamily(path=str(path))
+    assert fam.rows[3] == (1, F(float("1e-3")), 0)
+    assert fam.rows[4] == (2, F(1, 2), F(float("0.1")), 0)
+    for bad in ("1.0e400", "1/0", "x"):
+        path.write_text(f"3: 1 {bad} 0\n")
+        with pytest.raises(ValueError, match="bad table row"):
+            TableFamily(path=str(path))
+
+
 def test_table_family_rejects_invalid_rows():
     with pytest.raises(ValueError):
         TableFamily(rows={3: (1, 2, 0)}).score_vector(3)  # increasing

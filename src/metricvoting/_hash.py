@@ -22,16 +22,24 @@ _C2 = U64(0x94D049BB133111EB)
 _INV53 = 2.0**-53
 
 
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied to the uint64 array ``z`` in place, with
+    ``tmp`` (same shape) as the only scratch; uint64 ufuncs wrap mod 2^64."""
+    z += _GOLD
+    for shift, mult in ((30, _C1), (27, _C2)):
+        np.right_shift(z, U64(shift), out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, U64(31), out=tmp)
+    z ^= tmp
+    return z
+
+
 def mix64(x):
     """splitmix64 finalizer; accepts uint64 scalars or arrays (wraps mod 2^64)."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=U64) + _GOLD
-        z = z ^ (z >> U64(30))
-        z = z * _C1
-        z = z ^ (z >> U64(27))
-        z = z * _C2
-        z = z ^ (z >> U64(31))
-    return z
+    z = np.array(x, dtype=U64)
+    _mix64_inplace(z, np.empty_like(z))
+    return z if z.ndim else z[()]
 
 
 def seed_word(*parts: int) -> np.uint64:
@@ -47,8 +55,20 @@ def pair_uniform(word: np.uint64, a, b):
 
     Broadcasts like a numpy ufunc over integer arrays.
     """
-    key = (np.asarray(a, dtype=U64) << U64(32)) | np.asarray(b, dtype=U64)
-    return (mix64(key ^ word) >> U64(11)) * _INV53
+    a = np.asarray(a, dtype=U64)
+    b = np.asarray(b, dtype=U64)
+    key = np.left_shift(a, U64(32), out=np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=U64))
+    key |= b
+    return key_uniform(word, key, np.empty_like(key))
+
+
+def key_uniform(word: np.uint64, key: np.ndarray, scratch: np.ndarray):
+    """``pair_uniform`` of the built key ``(a << 32) | b``: hashes ``key`` in
+    place, overwriting ``scratch`` (same shape), and returns the floats."""
+    key ^= word
+    _mix64_inplace(key, scratch)
+    key >>= U64(11)
+    return key * _INV53
 
 
 def trial_generator(seed: int, trial_index: int) -> np.random.Generator:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._hash import pair_uniform, seed_word
+from ._hash import key_uniform, pair_uniform, seed_word
 from .condition import condition_sides
 from .montecarlo import _fan_out, _trials
 from .scoring import RuleFamily
@@ -30,6 +30,8 @@ from .spaces import MetricSpace
 
 _IDENTITY_TOL = 1e-12
 _COST_TOL = 1e-9
+#: rows per pass of an outer distance block; changes no output bit
+_PASS_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -131,59 +133,72 @@ class TwoClusterDistance:
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         # outer-product fast path: a column of rows against a row of columns
-        # (the election hot loop); avoids broadcast index grids and 2-D masks
+        # (the election hot loop), taken when the near rows come first, as
+        # they do in any ascending run of rows
         if i.ndim == 2 and j.ndim == 2 and i.shape[1] == 1 and j.shape[0] == 1:
-            return self._outer(i[:, 0], j[0, :])
+            rows, cols = i[:, 0], j[0, :]
+            split = int(np.count_nonzero(rows < self.near_count))
+            if rows[:split].max(initial=-1) < self.near_count:
+                return self._outer(rows, cols, split)
         ii, jj = np.broadcast_arrays(i, j)
-        shape = ii.shape
-        out = self._outer(ii.ravel(), jj.ravel(), elementwise=True)
-        return out.reshape(shape)
+        rows, cols = ii.ravel(), jj.ravel()
+        near_r = rows < self.near_count
+        near_c = cols < self.near_count
+        out = np.empty(rows.shape)
+        for row_near, col_near, fill in self._parts():
+            m = (near_r == row_near) & (near_c == col_near)
+            if m.any():
+                out[m] = fill(rows[m], cols[m])
+        return out.reshape(ii.shape)
 
-    def _cross_block(self, omega, atom):
+    def _parts(self):
+        """(rows near?, columns near?, fill(rows, cols)) for the four kinds of
+        pair; each fill broadcasts over its point indices."""
+        n = self.near_count
         return (
-            self.cluster_distance
-            + self.atom_positions[atom] / 4.0
-            + self.perturb_scale * pair_uniform(self.word_cross, atom, omega)
+            (True, True, self._near_block),
+            (False, False, lambda r, c: self._far_block(r - n, c - n)),
+            (True, False, lambda r, c: self._cross_block(r, c - n)),
+            (False, True, lambda r, c: self._cross_block(c, r - n)),
         )
 
+    def _outer(self, rows, cols, split) -> np.ndarray:
+        """rows x cols block, where rows[:split] are the near rows, filled in
+        passes of _PASS_ROWS rows so that the hash temporaries stay in cache."""
+        near_c = cols < self.near_count
+        out = np.empty((rows.size, cols.size))
+        for lo in range(0, rows.size, _PASS_ROWS):
+            hi = min(lo + _PASS_ROWS, rows.size)
+            mid = min(max(split, lo), hi)
+            for row_near, col_near, fill in self._parts():
+                rsel = slice(lo, mid) if row_near else slice(mid, hi)
+                csel = near_c if col_near else ~near_c
+                if rsel.stop > rsel.start and csel.any():
+                    out[rsel, csel] = fill(rows[rsel, None], cols[None, csel])
+        return out
+
+    def _cross_block(self, omega, atom):
+        u = pair_uniform(self.word_cross, atom, omega)
+        u *= self.perturb_scale
+        # the sum (D + position/4) + perturbation, in place
+        u += self.cluster_distance + self.atom_positions[atom] / 4.0
+        return u
+
     def _near_block(self, a, b):
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        out = 1.0 + pair_uniform(self.word_near, lo, hi)
+        # pair_uniform(word_near, min, max), with the key built in place
+        a, b = a.view(np.uint64), b.view(np.uint64)
+        key = np.minimum(a, b)
+        key <<= np.uint64(32)
+        scratch = np.maximum(a, b)
+        key |= scratch
+        out = key_uniform(self.word_near, key, scratch)
+        out += 1.0
         out[np.broadcast_to(np.equal(a, b), out.shape)] = 0.0
         return out
 
     def _far_block(self, fa, fb):
         out = np.minimum(self.atom_positions[fa], self.atom_positions[fb])
         out[np.broadcast_to(np.equal(fa, fb), out.shape)] = 0.0
-        return out
-
-    def _outer(self, rows, cols, elementwise=False) -> np.ndarray:
-        if elementwise:
-            out = np.empty(rows.shape)
-            near_r = rows < self.near_count
-            near_c = cols < self.near_count
-            for rmask, cmask, fill in (
-                (near_r, near_c, lambda r, c: self._near_block(r, c)),
-                (~near_r, ~near_c, lambda r, c: self._far_block(r - self.near_count, c - self.near_count)),
-                (near_r, ~near_c, lambda r, c: self._cross_block(r, c - self.near_count)),
-                (~near_r, near_c, lambda r, c: self._cross_block(c, r - self.near_count)),
-            ):
-                m = rmask & cmask
-                if m.any():
-                    out[m] = fill(rows[m], cols[m])
-            return out
-        near_r = rows < self.near_count
-        near_c = cols < self.near_count
-        out = np.empty((rows.size, cols.size))
-        for rmask, cmask, fill in (
-            (near_r, near_c, lambda r, c: self._near_block(r[:, None], c[None, :])),
-            (~near_r, ~near_c, lambda r, c: self._far_block(r[:, None] - self.near_count, c[None, :] - self.near_count)),
-            (near_r, ~near_c, lambda r, c: self._cross_block(r[:, None], c[None, :] - self.near_count)),
-            (~near_r, near_c, lambda r, c: self._cross_block(c[None, :], r[:, None] - self.near_count)),
-        ):
-            if rmask.any() and cmask.any():
-                out[np.ix_(rmask, cmask)] = fill(rows[rmask], cols[cmask])
         return out
 
 

@@ -150,6 +150,8 @@ def cmd_election(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.probe_z is not None:
+        montecarlo.checked_probe_z(args.probe_z)  # before anything is written
     seed = _resolve_seed(args)
     space = _load_source(args, seed)
     family = parse_family(args.family)

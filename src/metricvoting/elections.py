@@ -23,8 +23,12 @@ import numpy as np
 from .scoring import ScoringVector, parse_family
 from .spaces import MetricSpace, random_space
 
-#: distance-block row chunk for large derived spaces
+#: fixed summation block: scores and costs are summed over blocks of this
+#: many locations, so no other setting can change the output bits
 _CHUNK_ROWS = 65536
+#: locations hashed and ranked per pass inside a summation block, so their
+#: temporaries stay in cache; it changes no output bit
+_SUB_ROWS = 2048
 
 INFINITE = math.inf
 
@@ -76,10 +80,20 @@ def _checked_slate(space: MetricSpace, slate) -> np.ndarray:
     return slate
 
 
-def _ranked_blocks(space: MetricSpace, slate: np.ndarray, exact: bool):
+def _rank(dist: np.ndarray, top_only: bool) -> np.ndarray:
+    # the first-index argmin is column 0 of the stable argsort
+    if top_only:
+        return dist.argmin(axis=1, keepdims=True)
+    return np.argsort(dist, axis=1, kind="stable")
+
+
+def _ranked_blocks(space: MetricSpace, slate: np.ndarray, exact: bool, top_only: bool = False):
     """Yield (rows, dist, order) over all locations: dist holds distances to
-    the candidates, order ranks them by (distance, candidate index).  Exact
-    mode yields one location of Fractions at a time, float mode row chunks."""
+    the candidates, order ranks them by (distance, candidate index), or is
+    only its first column when ``top_only``.  Exact mode yields one
+    location of Fractions at a time; float mode yields summation blocks of
+    ``_CHUNK_ROWS`` locations as a slice and views of buffers that the next
+    block overwrites."""
     if exact:
         slate = slate.tolist()
         candidates = range(len(slate))
@@ -88,10 +102,22 @@ def _ranked_blocks(space: MetricSpace, slate: np.ndarray, exact: bool):
             # a stable sort by distance breaks ties by candidate index
             yield omega, dist, sorted(candidates, key=dist.__getitem__)
         return
-    for start in range(0, space.npoints, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, space.npoints))
-        dist = space.dist_block(rows[:, None], slate[None, :])
-        yield rows, dist, np.argsort(dist, axis=1, kind="stable")
+    npoints, cols = space.npoints, slate[None, :]
+    if npoints <= _SUB_ROWS:
+        dist = space.dist_block(np.arange(npoints)[:, None], cols)
+        yield slice(0, npoints), dist, _rank(dist, top_only)
+        return
+    size = min(_CHUNK_ROWS, npoints)
+    dist = np.empty((size, slate.size))
+    order = np.empty((size, 1 if top_only else slate.size), dtype=np.int64)
+    for start in range(0, npoints, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, npoints)
+        for lo in range(start, stop, _SUB_ROWS):
+            hi = min(lo + _SUB_ROWS, stop)
+            sub = dist[lo - start : hi - start]
+            sub[...] = space.dist_block(np.arange(lo, hi)[:, None], cols)
+            order[lo - start : hi - start] = _rank(sub, top_only)
+        yield slice(start, stop), dist[: stop - start], order[: stop - start]
 
 
 def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
@@ -149,8 +175,11 @@ def _run_float(space, slate, vector):
     n = slate.size
     scores = np.zeros(n)
     costs = np.zeros(n)
-    for rows, dist, order in _ranked_blocks(space, slate, exact=False):
-        weights = space.mass[rows][:, None] * vector.float_scores[None, :]
+    # a vector that scores only the top choice (plurality) needs column 0 of
+    # the ranking alone: the dropped terms are +0.0, so every bit is kept
+    width = n if vector.float_scores[1:].any() else 1
+    for rows, dist, order in _ranked_blocks(space, slate, False, width == 1):
+        weights = space.mass[rows][:, None] * vector.float_scores[None, :width]
         scores += np.bincount(order.ravel(), weights=weights.ravel(), minlength=n)
         costs += space.mass[rows] @ dist
     return _outcome(scores.tolist(), costs.tolist(), int(np.argmax(scores)), int(np.argmin(costs)))

@@ -218,6 +218,14 @@ class SufficiencyCheck:
     violation_counts: tuple
 
 
+def checked_probe_z(z) -> float:
+    """The probe's z as a float; raises ValueError unless 1/2 < z < 1."""
+    z = float(z)
+    if not 0.5 < z < 1.0:
+        raise ValueError("z must lie in (1/2, 1)")
+    return z
+
+
 def sufficiency_probe(
     space: MetricSpace,
     family: RuleFamily,
@@ -227,9 +235,7 @@ def sufficiency_probe(
     z,
 ) -> SufficiencyCheck:
     """Record tail events E_r and winner escapes over a grid of radii."""
-    z = float(z)
-    if not 0.5 < z < 1.0:
-        raise ValueError("z must lie in (1/2, 1)")
+    z = checked_probe_z(z)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     vector = family.score_vector(n)

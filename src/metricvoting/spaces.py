@@ -162,27 +162,28 @@ class ValidationReport:
         return not self.violations
 
 
-def _triangle_matrix_float(matrix: np.ndarray, tol: float):
-    """All-triples scan; returns worst few (i, j, k) with d(i,k) > d(i,j)+d(j,k)+tol."""
+def _triangle_scan(matrix: np.ndarray, tol, scale=1):
+    """Scan all triples for d(i,k) > d(i,j) + d(j,k) + tol over ``matrix``
+    (the distances times ``scale``); report at most 8 witnesses per j and
+    stop once more than 64 are reported, when the check has already failed."""
     found = []
-    npts = matrix.shape[0]
-    for j in range(npts):
+    for j in range(matrix.shape[0]):
         excess = matrix - (matrix[:, j][:, None] + matrix[j][None, :])
-        bad = np.argwhere(excess > tol)
-        for i, k in bad[:8]:
-            found.append(Violation("triangle", (int(i), int(j), int(k)), float(excess[i, k])))
+        for i, k in np.argwhere(excess > tol)[:8]:
+            magnitude = float(Fraction(int(excess[i, k]), scale)) if scale != 1 else float(excess[i, k])
+            found.append(Violation("triangle", (int(i), int(j), int(k)), magnitude))
         if len(found) > 64:
             break
     return found
 
 
-def _triangle_exact_verify(space: MetricSpace, candidates):
-    out = []
-    for i, j, k in candidates:
-        excess = space.matrix_exact[i][k] - space.matrix_exact[i][j] - space.matrix_exact[j][k]
-        if excess > 0:
-            out.append(Violation("triangle", (i, j, k), float(excess)))
-    return out
+def _scaled_integer_matrix(rows):
+    """Exact distances times the LCM of their denominators, as int64 when the
+    scan's sums of two entries cannot overflow, else as Python ints."""
+    scale = math.lcm(*(d.denominator for r in rows for d in r))
+    ints = [[d.numerator * (scale // d.denominator) for d in r] for r in rows]
+    big = max(abs(v) for r in ints for v in r)
+    return np.array(ints, dtype=np.int64 if 3 * big < 2**63 else object), scale
 
 
 def validate(
@@ -195,8 +196,8 @@ def validate(
 
     All triples are checked when the space stores a matrix and has at most
     ``triple_cap`` points; otherwise a seeded sample of ``triangle_samples``
-    triples is drawn.  Exact spaces are verified in exact arithmetic (a float
-    pre-scan shortlists triples, which is lossless at the tolerance used).
+    triples is drawn.  Exact spaces are checked in exact arithmetic, over
+    the distances scaled to integers by the LCM of their denominators.
     """
     violations = []
     npts = space.npoints
@@ -232,15 +233,10 @@ def validate(
         if npts <= triple_cap:
             checked = npts**3
             if space.exact:
-                # float pre-scan with a wide net, then exact confirmation;
-                # float error is ~1e-15 * scale so nothing real slips through
-                scale = float(mat.max()) or 1.0
-                shortlist = _triangle_matrix_float(mat, -1e-9 * scale)
-                violations.extend(
-                    _triangle_exact_verify(space, [v.witness for v in shortlist])
-                )
+                ints, scale = _scaled_integer_matrix(space.matrix_exact)
+                violations.extend(_triangle_scan(ints, 0, scale))
             else:
-                violations.extend(_triangle_matrix_float(mat, _FLOAT_TRIANGLE_TOL))
+                violations.extend(_triangle_scan(mat, _FLOAT_TRIANGLE_TOL))
         else:
             exhaustive = False
             checked = triangle_samples

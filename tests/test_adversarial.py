@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricvoting import (
     brute_force_outcome,
@@ -13,6 +15,7 @@ from metricvoting import (
     solve_parameters,
     validate,
 )
+from metricvoting import adversarial
 from metricvoting.elections import rankings
 from metricvoting.montecarlo import sample_candidates
 from metricvoting.scoring import Borda, Plurality, score_vector
@@ -229,3 +232,66 @@ def test_premise_warning_for_borda_control():
         report = run_experiment(1.25, Plurality(), trials=4, seed=2,
                                 n_override=64, big_n_override=256, m_atoms=32)
     assert not report.condition_holds_at_cap
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix_uniform(word, a, b):
+    """pair_uniform written out on Python ints, one pair at a time."""
+    z = (((a << 32) | b) ^ int(word)) & _M64
+    z = (z + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
+
+def _pair_distance(block, i, j):
+    """One two-cluster distance from its defining formula."""
+    n, pos = block.near_count, block.atom_positions
+    if i == j:
+        return 0.0
+    if i < n and j < n:
+        return 1.0 + _splitmix_uniform(block.word_near, min(i, j), max(i, j))
+    if i >= n and j >= n:
+        return float(min(pos[i - n], pos[j - n]))
+    omega, atom = (i, j - n) if i < n else (j, i - n)
+    return block.cluster_distance + pos[atom] / 4.0 + block.perturb_scale * _splitmix_uniform(
+        block.word_cross, atom, omega
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_distance_paths_agree_bit_for_bit(data):
+    params = small_params(n=8, big_n=40, m_atoms=6)
+    space = build_instance(params, seed=data.draw(st.integers(0, 2**31 - 1))).space
+    block = space._block_fn
+    npts = space.npoints
+    # a run of rows that may straddle near_count, and columns with repeats,
+    # far points and points inside the run (diagonal entries)
+    lo = data.draw(st.integers(0, npts - 1))
+    hi = data.draw(st.integers(lo + 1, npts))
+    rows = np.arange(lo, hi)
+    cols = np.array(data.draw(st.lists(st.integers(0, npts - 1), min_size=1, max_size=10)))
+    outer = space.dist_block(rows[:, None], cols[None, :])
+    rr, cc = np.broadcast_arrays(rows[:, None], cols[None, :])
+    flat = space.dist_block(rr.ravel(), cc.ravel()).reshape(rr.shape)
+    reference = np.array([[_pair_distance(block, int(i), int(j)) for j in cols] for i in rows])
+    assert outer.tobytes() == reference.tobytes()
+    assert flat.tobytes() == reference.tobytes()
+    # rows out of order (far rows first) leave the fast path, same bits
+    shuffled = data.draw(st.permutations(rows.tolist()))
+    again = space.dist_block(np.array(shuffled)[:, None], cols[None, :])
+    assert again.tobytes() == reference[np.array(shuffled) - lo].tobytes()
+
+
+def test_outer_block_is_filled_in_passes(monkeypatch):
+    params = small_params(n=8, big_n=200, m_atoms=16)
+    space = build_instance(params, seed=9).space
+    rows = np.arange(space.npoints)[:, None]
+    cols = np.array([0, 5, 5, 199, 200, 203, 215, 150])[None, :]
+    whole = space.dist_block(rows, cols)
+    monkeypatch.setattr(adversarial, "_PASS_ROWS", 7)
+    assert space.dist_block(rows, cols).tobytes() == whole.tobytes()

@@ -196,6 +196,13 @@ def test_zero_denominator_flags_are_input_errors(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_probe_z_out_of_range_fails_before_any_output(capsys, line_file):
+    code, out = run_cli("estimate", "--space", line_file, "--family", "borda",
+                        "--n", "3", "--trials", "10", "--seed", "1", "--probe-z", "2")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: z must lie in (1/2, 1)\n"
+
+
 def test_decimal_y_grid_is_exact():
     code, out = run_cli("scan", "--family", "borda", "--y-grid", "0.9",
                         "--n-min", "11", "--n-max", "11")

@@ -1,5 +1,8 @@
+import json
 import math
+import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +12,15 @@ from hypothesis import strategies as st
 from metricvoting import (
     MetricSpace,
     brute_force_outcome,
+    build_instance,
     oracle_sweep,
     random_space,
     rankings,
     run_election,
     score_vector,
+    solve_parameters,
 )
+from metricvoting import adversarial, elections
 from metricvoting.scoring import Borda, Plurality, Veto, normalize, parse_family
 
 
@@ -161,3 +167,109 @@ def test_distortion_at_least_one_and_scores_in_unit_range():
         out = run_election(space, slate, score_vector(fam, 4))
         assert out.distortion >= 1
         assert all(0 <= s <= 1 for s in out.scores)  # mass-weighted unit scores
+
+
+# ---------------------------------------------------------------------------
+# float kernel: bit identity and the top-choice path
+
+GOLDEN = Path(__file__).parent / "data" / "float_kernel_golden.json"
+
+
+@pytest.fixture(scope="module")
+def golden_instance():
+    # 70512 locations: two summation blocks of elections._CHUNK_ROWS rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = solve_parameters(1.25, n_override=16, big_n_override=70000)
+    return build_instance(params, 5).space
+
+
+def _hexed(outcome):
+    return (
+        [float(s).hex() for s in outcome.scores],
+        outcome.winner,
+        outcome.optimum,
+        float(outcome.winner_cost).hex(),
+        float(outcome.optimum_cost).hex(),
+    )
+
+
+def test_float_kernel_matches_recorded_bits(golden_instance):
+    cases = json.loads(GOLDEN.read_text())["cases"]
+    assert golden_instance.npoints > elections._CHUNK_ROWS
+    for case in cases:
+        vec = score_vector(parse_family(case["family"]), len(case["slate"]))
+        got = _hexed(run_election(golden_instance, case["slate"], vec))
+        want = (case["scores"], case["winner"], case["optimum"],
+                case["winner_cost"], case["optimum_cost"])
+        assert got == want, case["family"]
+
+
+@pytest.mark.parametrize("sub_rows", [7, 1000, 4096])
+def test_sub_block_size_changes_no_bit(golden_instance, monkeypatch, sub_rows):
+    slate = json.loads(GOLDEN.read_text())["cases"][-1]["slate"]
+    want = {f: run_election(golden_instance, slate, score_vector(parse_family(f), 16))
+            for f in ("plurality", "borda")}
+    monkeypatch.setattr(elections, "_SUB_ROWS", sub_rows)
+    monkeypatch.setattr(adversarial, "_PASS_ROWS", sub_rows)
+    for f, outcome in want.items():
+        assert run_election(golden_instance, slate, score_vector(parse_family(f), 16)) == outcome
+
+
+def _dyadic_line(npoints, derived):
+    # masses are multiples of 2^-13 and distances integers, so every score
+    # and cost sum is exact in float64 whatever the order of summation; the
+    # line and its masses are symmetric about the middle (npoints % 6 == 0)
+    half = np.random.default_rng(npoints).integers(1, 4, npoints)
+    mass = (half + half[::-1]) / 8192.0
+    coords = np.arange(npoints) // 3  # three colocated points per site
+    if derived:
+        return MetricSpace(mass, block_fn=lambda i, j: np.abs(coords[i] - coords[j]).astype(float))
+    return MetricSpace(mass, matrix=np.abs(coords[:, None] - coords[None, :]).astype(float))
+
+
+def _spy_rank(monkeypatch):
+    seen = []
+    original = elections._rank
+
+    def spy(dist, top_only):
+        seen.append(top_only)
+        return original(dist, top_only)
+
+    monkeypatch.setattr(elections, "_rank", spy)
+    return seen
+
+
+@pytest.mark.parametrize("npoints, derived", [(30, False), (5004, True)])
+def test_top_choice_path_equals_brute_force(monkeypatch, npoints, derived):
+    space = _dyadic_line(npoints, derived)
+    seen = _spy_rank(monkeypatch)
+    last = npoints - 1
+    slates = [
+        [5, 5, 0, 1, last],  # duplicate entries tie at every location
+        [3, 4, 5, 5],  # colocated and duplicate candidates: one site
+        [last, 0, 0, last],  # the two ends split the mass evenly
+    ]
+    outcomes = []
+    for slate in slates:
+        vec = score_vector(Plurality(), len(slate))
+        outcomes.append(run_election(space, slate, vec))
+        assert outcomes[-1] == brute_force_outcome(space, slate, vec)
+    # candidates sharing a site split nothing: the lowest index takes it all
+    assert outcomes[1].scores[1:] == (0.0, 0.0, 0.0) and outcomes[1].winner == 0
+    # a tie for the most votes goes to the lowest index
+    ends = outcomes[2]
+    assert ends.scores[0] == ends.scores[1] > 0 and ends.winner == 0
+    assert ends.scores[2:] == (0.0, 0.0)
+    assert seen and all(seen)
+
+
+@pytest.mark.parametrize("npoints, derived", [(30, False), (5004, True)])
+def test_nonzero_tail_vector_keeps_argsort(monkeypatch, npoints, derived):
+    space = _dyadic_line(npoints, derived)
+    seen = _spy_rank(monkeypatch)
+    slate = [5, 5, 0, 1, npoints - 1, 17]
+    vec = normalize([2, 1, 1, 1, 1, 0])  # (1, 1/2, 1/2, 1/2, 1/2, 0)
+    assert vec.float_scores[1:].any()
+    assert run_election(space, slate, vec) == brute_force_outcome(space, slate, vec)
+    assert seen and not any(seen)

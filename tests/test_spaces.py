@@ -31,6 +31,36 @@ def test_triangle_violation_witnessed():
     assert (0, 1, 2) in witnesses
 
 
+def _line30(far_end=29, wobble=0):
+    # 30 points on a line, d = |i - j|, with d(0, 29) set to far_end and
+    # d(1, 2) raised by wobble
+    rows = [[F(abs(i - j)) for j in range(30)] for i in range(30)]
+    rows[0][29] = rows[29][0] = F(far_end)
+    rows[1][2] = rows[2][1] = 1 + F(wobble)
+    return MetricSpace([F(1, 30)] * 30, matrix=rows)
+
+
+def test_exact_validation_finds_violations_among_collinear_equalities():
+    # the collinear triples meet the triangle inequality with equality;
+    # d(0, 29) = 34 breaks it by 5 on every triple (0, j, 29) and (29, j, 0)
+    assert validate(_line30()).ok
+    report = validate(_line30(far_end=34))
+    assert not report.ok and report.exhaustive
+    assert len(report.violations) == 56
+    assert {v.kind for v in report.violations} == {"triangle"}
+    assert (0, 1, 29) in {v.witness for v in report.violations}
+    assert all(v.magnitude == 5.0 for v in report.violations)
+
+
+def test_exact_validation_beyond_int64():
+    # scaled by the LCM 3^50, the distances no longer fit an int64 scan
+    tiny = F(1, 3**50)
+    assert validate(_line30(wobble=tiny)).ok
+    report = validate(_line30(far_end=34, wobble=tiny))
+    assert len(report.violations) == 56
+    assert all(v.magnitude == 5.0 for v in report.violations)
+
+
 def test_mass_sum_violation():
     space = MetricSpace([F(1, 2), F(2, 5)], matrix=[[0, 1], [1, 0]])
     report = validate(space)

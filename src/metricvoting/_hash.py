@@ -5,9 +5,9 @@ Two primitives back everything randomized:
 * ``pair_uniform`` -- a stateless splitmix64-style hash mapping a seed word
   and an index pair to a uniform float in [0, 1).  Used for lazily derived
   pairwise distances, where materializing a matrix is impossible.
-* ``trial_generator`` -- a counter-based (Philox) generator keyed by
+* ``trial_uniforms`` -- counter-based (Philox) streams keyed by
   (seed, trial index), so trials are reproducible and order-independent
-  regardless of how they are scheduled across workers.
+  regardless of how they are scheduled across workers or batched.
 """
 
 from __future__ import annotations
@@ -71,7 +71,19 @@ def key_uniform(word: np.uint64, key: np.ndarray, scratch: np.ndarray):
     return key * _INV53
 
 
-def trial_generator(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial."""
-    key = np.array([seed & _MASK, trial_index & _MASK], dtype=U64)
-    return np.random.Generator(np.random.Philox(key=key))
+def trial_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
+    """(count, n) uniforms: row i is ``Generator(Philox(key=k)).random(n)``
+    bit for bit, for the uint64 key words k = (seed, start + i).  One bit
+    generator is re-keyed per trial by setting its state, which skips the
+    OS-entropy ``SeedSequence`` that ``Philox(key=...)`` builds."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = [seed & _MASK, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((count, n))
+    for i in range(count):
+        key[1] = (start + i) & _MASK
+        bitgen.state = state
+        gen.random(out=out[i])
+    return out

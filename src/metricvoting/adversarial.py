@@ -338,24 +338,25 @@ def _experiment_batch(params, seed, vector, start, count):
     space = build_instance(params, seed).space
     floor = params.near_mass * params.cluster_distance
     records = []
-    for t, slate, outcome in _trials(space, vector, seed, start, count):
-        winner_far = bool(slate[outcome.winner] >= params.near_locations)
-        if winner_far and outcome.winner_cost < floor - _COST_TOL:
-            raise RuntimeError(
-                f"trial {t}: far winner cost {outcome.winner_cost} below "
-                f"the alpha*D floor {floor}"
+    for batch in _trials(space, vector, seed, start, count):
+        for t, slate, winner, winner_cost, optimum_cost, distortion in zip(*batch):
+            winner_far = bool(winner >= params.near_locations)
+            if winner_far and winner_cost < floor - _COST_TOL:
+                raise RuntimeError(
+                    f"trial {t}: far winner cost {float(winner_cost)} below "
+                    f"the alpha*D floor {floor}"
+                )
+            records.append(
+                TrialRecord(
+                    trial=t,
+                    event=check_event(params, slate),
+                    far_candidates=int((slate >= params.near_locations).sum()),
+                    winner_from_far=winner_far,
+                    distortion=float(distortion),
+                    winner_cost=float(winner_cost),
+                    optimum_cost=float(optimum_cost),
+                )
             )
-        records.append(
-            TrialRecord(
-                trial=t,
-                event=check_event(params, slate),
-                far_candidates=int((slate >= params.near_locations).sum()),
-                winner_from_far=winner_far,
-                distortion=float(outcome.distortion),
-                winner_cost=float(outcome.winner_cost),
-                optimum_cost=float(outcome.optimum_cost),
-            )
-        )
     return records
 
 

@@ -151,7 +151,7 @@ def cmd_election(args) -> int:
 
 def cmd_estimate(args) -> int:
     if args.probe_z is not None:
-        montecarlo.checked_probe_z(args.probe_z)  # before anything is written
+        probe_z = montecarlo.checked_probe_z(args.probe_z)  # before anything is written
     seed = _resolve_seed(args)
     space = _load_source(args, seed)
     family = parse_family(args.family)
@@ -178,9 +178,8 @@ def cmd_estimate(args) -> int:
             writer.writerow(["r", "pr_winner_distance_ge_r"])
             writer.writerows(est.winner_distance_histogram)
     if args.probe_z is not None:
-        probe = montecarlo.sufficiency_probe(
-            space, family, args.n, args.trials, seed, args.probe_z
-        )
+        # the estimate elected the probe's trials: reuse its winner distances
+        probe = montecarlo._probe_counts(space, args.n, seed, probe_z, est.winner_distances)
         fh = _open_out(args.probe_out)
         try:
             _header(fh, z=probe.z, tilde_y=probe.tilde_y, r_tilde=probe.r_tilde,

@@ -55,6 +55,10 @@ class ElectionOutcome:
 
 
 def _distortion(winner_cost, optimum_cost):
+    if isinstance(optimum_cost, np.ndarray):
+        # elementwise on float costs: x/0 is inf, and 0/0 (optimum <= winner) is 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(winner_cost == 0, 1.0, winner_cost / optimum_cost)
     if optimum_cost == 0:
         return Fraction(1) if winner_cost == 0 else INFINITE
     return winner_cost / optimum_cost
@@ -81,32 +85,37 @@ def _checked_slate(space: MetricSpace, slate) -> np.ndarray:
 
 
 def _rank(dist: np.ndarray, top_only: bool) -> np.ndarray:
-    # the first-index argmin is column 0 of the stable argsort
+    # along the last axis, one location row at a time; the first-index
+    # argmin is column 0 of the stable argsort
     if top_only:
-        return dist.argmin(axis=1, keepdims=True)
-    return np.argsort(dist, axis=1, kind="stable")
+        return dist.argmin(axis=-1, keepdims=True)
+    return np.argsort(dist, axis=-1, kind="stable")
 
 
-def _ranked_blocks(space: MetricSpace, slate: np.ndarray, exact: bool, top_only: bool = False):
-    """Yield (rows, dist, order) over all locations: dist holds distances to
-    the candidates, order ranks them by (distance, candidate index), or is
-    only its first column when ``top_only``.  Exact mode yields one
-    location of Fractions at a time; float mode yields summation blocks of
-    ``_CHUNK_ROWS`` locations as a slice and views of buffers that the next
-    block overwrites."""
+def _ranked_blocks(space: MetricSpace, slates: np.ndarray, exact: bool, top_only: bool = False):
+    """Yield (rows, dist, order) over all locations for a (T, n) stack of
+    slates: dist[t] holds distances to slate t's candidates, order[t] ranks
+    them by (distance, candidate index), or is only its first column when
+    ``top_only``.  Exact mode takes one slate and yields one location of
+    Fractions at a time; float mode yields summation blocks of
+    ``_CHUNK_ROWS`` locations as a slice and (T, rows, .) arrays, views of
+    buffers that the next block overwrites.  Spaces of more than
+    ``_SUB_ROWS`` points take one slate (T = 1)."""
     if exact:
-        slate = slate.tolist()
+        (slate,) = slates.tolist()
         candidates = range(len(slate))
         for omega, row in enumerate(space.matrix_exact):
             dist = [row[c] for c in slate]
             # a stable sort by distance breaks ties by candidate index
             yield omega, dist, sorted(candidates, key=dist.__getitem__)
         return
-    npoints, cols = space.npoints, slate[None, :]
+    npoints = space.npoints
     if npoints <= _SUB_ROWS:
-        dist = space.dist_block(np.arange(npoints)[:, None], cols)
+        dist = space.dist_block(np.arange(npoints)[None, :, None], slates[:, None, :])
         yield slice(0, npoints), dist, _rank(dist, top_only)
         return
+    (slate,) = slates
+    cols = slate[None, :]
     size = min(_CHUNK_ROWS, npoints)
     dist = np.empty((size, slate.size))
     order = np.empty((size, 1 if top_only else slate.size), dtype=np.int64)
@@ -117,7 +126,7 @@ def _ranked_blocks(space: MetricSpace, slate: np.ndarray, exact: bool, top_only:
             sub = dist[lo - start : hi - start]
             sub[...] = space.dist_block(np.arange(lo, hi)[:, None], cols)
             order[lo - start : hi - start] = _rank(sub, top_only)
-        yield slice(start, stop), dist[: stop - start], order[: stop - start]
+        yield slice(start, stop), dist[None, : stop - start], order[None, : stop - start]
 
 
 def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
@@ -125,7 +134,7 @@ def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
     (distance, candidate index) ascending."""
     slate = _checked_slate(space, slate)
     table = np.empty((space.npoints, slate.size), dtype=np.int64)
-    for rows, _, order in _ranked_blocks(space, slate, space.exact):
+    for rows, _, order in _ranked_blocks(space, slate[None], space.exact):
         table[rows] = order
     return table
 
@@ -153,14 +162,17 @@ def run_election(
         exact = space.exact
     if exact and not space.exact:
         raise ValueError("exact election requires an exact space")
-    return (_run_exact if exact else _run_float)(space, slate, vector)
+    if exact:
+        return _run_exact(space, slate, vector)
+    scores, costs, winners, optima = _run_float(space, slate[None], vector)
+    return _outcome(scores[0].tolist(), costs[0].tolist(), int(winners[0]), int(optima[0]))
 
 
 def _run_exact(space, slate, vector):
     n = slate.size
     scores = [Fraction(0)] * n
     costs = [Fraction(0)] * n
-    for omega, dist, order in _ranked_blocks(space, slate, exact=True):
+    for omega, dist, order in _ranked_blocks(space, slate[None], exact=True):
         mass = space.mass_exact[omega]
         for pos, cand in enumerate(order):
             scores[cand] += mass * vector.scores[pos]
@@ -171,18 +183,27 @@ def _run_exact(space, slate, vector):
     return _outcome(scores, costs, winner, optimum)
 
 
-def _run_float(space, slate, vector):
-    n = slate.size
-    scores = np.zeros(n)
-    costs = np.zeros(n)
+def _run_float(space, slates, vector):
+    """Float elections of a (T, n) stack of slates: scores and costs (T, n),
+    winners and optima (T,)."""
+    count, n = slates.shape
+    scores = np.zeros((count, n))
+    costs = np.zeros((count, n))
     # a vector that scores only the top choice (plurality) needs column 0 of
     # the ranking alone: the dropped terms are +0.0, so every bit is kept
     width = n if vector.float_scores[1:].any() else 1
-    for rows, dist, order in _ranked_blocks(space, slate, False, width == 1):
-        weights = space.mass[rows][:, None] * vector.float_scores[None, :width]
-        scores += np.bincount(order.ravel(), weights=weights.ravel(), minlength=n)
-        costs += space.mass[rows] @ dist
-    return _outcome(scores.tolist(), costs.tolist(), int(np.argmax(scores)), int(np.argmin(costs)))
+    # slate t's candidates are bins t*n .. t*n + n - 1 of one bincount, each
+    # summed in location order as for a single slate
+    offsets = np.arange(0, count * n, n)[:, None, None]
+    for rows, dist, order in _ranked_blocks(space, slates, False, width == 1):
+        if count > 1:  # a lone slate's offset is 0
+            order += offsets
+        # the same mass * score weights for every slate, laid out like order
+        weights = np.multiply(space.mass[rows][:, None], vector.float_scores[:width], out=np.empty(order.shape))
+        scores += np.bincount(order.ravel(), weights=weights.ravel(), minlength=count * n).reshape(count, n)
+        # one gemv per slate, the call ``mass @ dist`` makes
+        costs += np.matmul(space.mass[rows], dist)
+    return scores, costs, scores.argmax(axis=1), costs.argmin(axis=1)
 
 
 def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> ElectionOutcome:

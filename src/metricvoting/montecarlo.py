@@ -19,22 +19,31 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._hash import trial_generator
-from .elections import run_election
+from . import elections
+from ._hash import trial_uniforms
+from .elections import _distortion, _run_float, run_election
 from .scoring import RuleFamily
 from .spaces import MetricSpace, one_median
 
 _ENUMERATION_CAP = 1_000_000
+#: trials per batch times locations times candidates: batches of trials are
+#: drawn and elected together up to this many elements, so the temporaries
+#: stay cache-sized; it changes no output bit
+_BATCH_ELEMENTS = 1 << 15
+
+
+def _slates(space: MetricSpace, n: int, seed: int, start: int, count: int) -> np.ndarray:
+    """(count, n) slates of trials start..start+count-1: n i.i.d. draws each
+    from the space's mass distribution (inverse CDF)."""
+    idx = np.searchsorted(space.cum_mass, trial_uniforms(seed, start, count, n), side="right")
+    return np.minimum(idx, space.npoints - 1).astype(np.int64)
 
 
 def sample_candidates(space: MetricSpace, n: int, seed: int, trial_index: int) -> np.ndarray:
     """n i.i.d. draws from the space's mass distribution (inverse CDF)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = trial_generator(seed, trial_index)
-    u = rng.random(n)
-    idx = np.searchsorted(space.cum_mass, u, side="right")
-    return np.minimum(idx, space.npoints - 1).astype(np.int64)
+    return _slates(space, n, seed, trial_index, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -71,9 +80,9 @@ def _summarize(distortions, winner_distances, knots, trial_start) -> Estimate:
         max_obs = float(finite.max())
     else:
         mean = stderr = max_obs = math.nan
-    hist = tuple(
-        (float(r), float(np.mean(winner_distances >= r))) for r in knots
-    )
+    ranked = np.sort(winner_distances)
+    at_least = ranked.size - np.searchsorted(ranked, knots, side="left")
+    hist = tuple((float(r), float(c / ranked.size)) for r, c in zip(knots, at_least))
     return Estimate(
         trials=int(distortions.size),
         trial_start=trial_start,
@@ -89,12 +98,28 @@ def _summarize(distortions, winner_distances, knots, trial_start) -> Estimate:
     )
 
 
+def _slate_batches(space, n, seed, start, count):
+    """Yield (trial indices, slates) over trials start..start+count-1 in
+    batches of up to ``_BATCH_ELEMENTS`` (trial, location, candidate)
+    elements; spaces of more than ``elections._SUB_ROWS`` points take one
+    trial per batch."""
+    small = space.npoints <= elections._SUB_ROWS
+    step = max(1, _BATCH_ELEMENTS // (space.npoints * n)) if small else 1
+    for lo in range(start, start + count, step):
+        hi = min(lo + step, start + count)
+        yield range(lo, hi), _slates(space, n, seed, lo, hi - lo)
+
+
 def _trials(space, vector, seed, start, count):
-    """Yield (t, slate, outcome) for trials start..start+count-1: each trial
-    draws its keyed slate and runs one float election on it."""
-    for t in range(start, start + count):
-        slate = sample_candidates(space, vector.n, seed, t)
-        yield t, slate, run_election(space, slate, vector, exact=False)
+    """Yield (trials, slates, winners, winner_costs, optimum_costs,
+    distortions) per batch of trials start..start+count-1: each trial draws
+    its keyed slate and runs one float election on it; ``winners`` holds
+    the winners' locations."""
+    for trials, slates in _slate_batches(space, vector.n, seed, start, count):
+        _, costs, winners, optima = _run_float(space, slates, vector)
+        rows = np.arange(len(trials))
+        wcost, ocost = costs[rows, winners], costs[rows, optima]
+        yield trials, slates, slates[rows, winners], wcost, ocost, _distortion(wcost, ocost)
 
 
 def _fan_out(fn, args, start, count, jobs):
@@ -113,12 +138,8 @@ def _fan_out(fn, args, start, count, jobs):
 
 
 def _trial_batch(space, vector, seed, dist_from_o, start, count):
-    dstr = np.empty(count)
-    wdist = np.empty(count)
-    for i, (_, slate, outcome) in enumerate(_trials(space, vector, seed, start, count)):
-        dstr[i] = float(outcome.distortion)
-        wdist[i] = dist_from_o[slate[outcome.winner]]
-    return dstr, wdist
+    parts = [(d, dist_from_o[w]) for _, _, w, _, _, d in _trials(space, vector, seed, start, count)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def estimate_distortion(
@@ -142,10 +163,10 @@ def estimate_distortion(
 
 
 def merge_estimates(a: Estimate, b: Estimate) -> Estimate:
-    """Combine runs over disjoint trial ranges; associative by construction."""
+    """Combine runs over adjoining trial ranges; associative by construction."""
     first, second = (a, b) if a.trial_start <= b.trial_start else (b, a)
-    if first.trial_start + first.trials > second.trial_start:
-        raise ValueError("estimates overlap in trial indices")
+    if first.trial_start + first.trials != second.trial_start:
+        raise ValueError("estimates overlap or leave a gap in trial indices")
     knots = [r for r, _ in a.winner_distance_histogram]
     return _summarize(
         np.concatenate([first.distortions, second.distortions]),
@@ -238,7 +259,15 @@ def sufficiency_probe(
     z = checked_probe_z(z)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    vector = family.score_vector(n)
+    dist_from_o = space.distances_from(one_median(space))
+    _, wdist = _trial_batch(space, family.score_vector(n), seed, dist_from_o, 0, trials)
+    return _probe_counts(space, n, seed, z, wdist)
+
+
+def _probe_counts(space: MetricSpace, n: int, seed: int, z: float, winner_distances) -> SufficiencyCheck:
+    """The probe over trials 0..T-1, given the distance of each trial's
+    winner from the 1-median (an estimate's ``winner_distances``); the tail
+    events need only the redrawn slates, no election."""
     median_index = one_median(space)
     dist_from_o = space.distances_from(median_index)
     knots = np.unique(dist_from_o)
@@ -254,21 +283,19 @@ def sufficiency_probe(
     events = np.zeros(grid.size, dtype=np.int64)
     escapes = np.zeros(grid.size, dtype=np.int64)
     violations = np.zeros(grid.size, dtype=np.int64)
-    for _, slate, outcome in _trials(space, vector, seed, 0, trials):
-        cand_d = dist_from_o[slate]
-        wd = float(dist_from_o[slate[outcome.winner]])
-        outside = (cand_d[:, None] > grid[None, :]).sum(axis=0)
+    for trials, slates in _slate_batches(space, n, seed, 0, winner_distances.size):
+        outside = (dist_from_o[slates][:, :, None] > grid).sum(axis=1)
         event = outside > threshold
-        escape = wd > 3.0 * grid
-        events += event
-        escapes += escape
-        violations += (~event) & escape
+        escape = winner_distances[trials.start : trials.stop, None] > 3.0 * grid
+        events += event.sum(axis=0)
+        escapes += escape.sum(axis=0)
+        violations += (~event & escape).sum(axis=0)
     return SufficiencyCheck(
         z=z,
         tilde_y=tilde_y,
         r_tilde=r_tilde,
         median_index=int(median_index),
-        trials=trials,
+        trials=int(winner_distances.size),
         radii=tuple(float(r) for r in grid),
         outside_mass_at=tuple(float(v) for v in v_of_r),
         event_counts=tuple(int(c) for c in events),

@@ -15,7 +15,7 @@ from metricvoting import (
     solve_parameters,
     validate,
 )
-from metricvoting import adversarial
+from metricvoting import adversarial, montecarlo
 from metricvoting.elections import rankings
 from metricvoting.montecarlo import sample_candidates
 from metricvoting.scoring import Borda, Plurality, score_vector
@@ -221,6 +221,18 @@ def test_experiment_uneven_fan_out_matches_serial():
     assert serial.records == parallel.records
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("budget", [1, 1 << 40])
+def test_experiment_batch_budget_changes_no_bit(monkeypatch, budget):
+    # 288 locations: trials are elected in batches
+    kwargs = dict(n_override=12, big_n_override=256, m_atoms=32)
+    want = {f: run_experiment(1.25, f, 9, seed=4, **kwargs).records for f in (Plurality(), Borda())}
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", budget)
+    for family, records in want.items():
+        for jobs in (1, 2):
+            assert run_experiment(1.25, family, 9, seed=4, jobs=jobs, **kwargs).records == records
+
+
 def test_premise_warning_for_borda_control():
     with pytest.warns(UserWarning, match="does not apply"):
         report = run_experiment(1.25, Borda(), trials=4, seed=2,
@@ -281,6 +293,9 @@ def test_derived_distance_paths_agree_bit_for_bit(data):
     reference = np.array([[_pair_distance(block, int(i), int(j)) for j in cols] for i in rows])
     assert outer.tobytes() == reference.tobytes()
     assert flat.tobytes() == reference.tobytes()
+    # a batched election's call: (1, rows, 1) x (T, 1, n) indices
+    stacked = space.dist_block(rows[None, :, None], np.stack([cols, cols[::-1]])[:, None, :])
+    assert stacked.tobytes() == np.stack([reference, reference[:, ::-1]]).tobytes()
     # rows out of order (far rows first) leave the fast path, same bits
     shuffled = data.draw(st.permutations(rows.tolist()))
     again = space.dist_block(np.array(shuffled)[:, None], cols[None, :])

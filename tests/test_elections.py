@@ -21,7 +21,7 @@ from metricvoting import (
     solve_parameters,
 )
 from metricvoting import adversarial, elections
-from metricvoting.scoring import Borda, Plurality, Veto, normalize, parse_family
+from metricvoting.scoring import Borda, Plurality, ScoringVector, Veto, normalize, parse_family
 
 
 def test_rankings_worked_line(line_space):
@@ -51,6 +51,42 @@ def test_rankings_exact_equal_float_copy_on_dyadic_line(data):
     floated = MetricSpace(exact.mass, matrix=exact.matrix)
     assert exact.exact and not floated.exact
     assert np.array_equal(rankings(exact, slate), rankings(floated, slate))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batched_kernel_equals_single_elections(data):
+    # dyadic masses, quarter-step distances and quarter-step scores make
+    # every float sum exact, so the float winner is the exact-rule winner
+    coords = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=8))
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=len(coords) - 1, max_size=len(coords) - 1))
+    total = 1 << sum(weights).bit_length()  # the last point takes the rest
+    mass = [F(w, total) for w in weights + [total - sum(weights)]]
+    dist = [[F(abs(a - b), 4) for b in coords] for a in coords]
+    kind = data.draw(st.sampled_from(["stored", "exact", "derived"]))
+    if kind == "exact":
+        space = MetricSpace(mass, matrix=dist)  # elected on the float path
+    elif kind == "stored":
+        space = MetricSpace(np.array(mass, dtype=float), matrix=np.array(dist, dtype=float))
+    else:
+        pos = np.array(coords) / 4.0
+        space = MetricSpace(np.array(mass, dtype=float), block_fn=lambda i, j: np.abs(pos[i] - pos[j]))
+    n = data.draw(st.integers(1, 6))
+    middle = data.draw(st.lists(st.integers(0, 4), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    tail = (*(F(q, 4) for q in sorted(middle, reverse=True)), F(0)) if n > 1 else ()
+    vec = ScoringVector(n, (F(1), *tail))
+    # duplicate candidates and colocated points tie at every location
+    slates = data.draw(st.lists(st.lists(st.integers(0, len(coords) - 1), min_size=n, max_size=n),
+                                min_size=1, max_size=6))
+    scores, costs, winners, optima = elections._run_float(space, np.array(slates), vec)
+    for t, slate in enumerate(slates):
+        alone = run_election(space, slate, vec, exact=False)
+        assert scores[t].tobytes() == np.array(alone.scores).tobytes()
+        assert (winners[t], optima[t]) == (alone.winner, alone.optimum)
+        assert costs[t][alone.winner].hex() == alone.winner_cost.hex()
+        assert costs[t][alone.optimum].hex() == alone.optimum_cost.hex()
+        ref = brute_force_outcome(space, slate, vec)
+        assert (alone.winner, alone.optimum) == (ref.winner, ref.optimum)
 
 
 def test_rankings_reject_bad_slate(line_space):

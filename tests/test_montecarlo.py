@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from metricvoting import (
     sample_candidates,
     sufficiency_probe,
 )
-from metricvoting.montecarlo import _summarize
-from metricvoting.scoring import Borda, Plurality, Veto
+from metricvoting import montecarlo
+from metricvoting._hash import trial_uniforms
+from metricvoting.montecarlo import _probe_counts, _summarize
+from metricvoting.scoring import Borda, Plurality, Veto, parse_family
 
 
 def test_sampling_deterministic(two_point_space):
@@ -87,6 +91,14 @@ def test_merge_rejects_overlap(line_space):
     b = estimate_distortion(line_space, Borda(), 3, trials=100, seed=5, trial_start=50)
     with pytest.raises(ValueError):
         merge_estimates(a, b)
+
+
+def test_merge_rejects_gap(line_space):
+    a = estimate_distortion(line_space, Borda(), 3, trials=10, seed=5)
+    b = estimate_distortion(line_space, Borda(), 3, trials=10, seed=5, trial_start=20)
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="gap"):
+            merge_estimates(*pair)
 
 
 def test_parallel_jobs_identical():
@@ -174,3 +186,103 @@ def test_probe_chernoff_bound_and_containment():
             stderr = math.sqrt(p_hat * (1 - p_hat) / probe.trials)
             assert p_hat <= (math.e / (1 - z)) * v_r + 3 * stderr + 1e-12
         assert all(v == 0 for v in probe.violation_counts)
+
+
+def test_histogram_is_the_share_at_or_beyond_each_knot():
+    rng = np.random.default_rng(3)
+    wdist = rng.integers(0, 6, 257) / 4.0  # many ties, some knots never hit
+    knots = np.arange(0, 9) / 4.0
+    est = _summarize(np.ones(wdist.size), wdist, knots, trial_start=0)
+    want = tuple((float(r), float(np.mean(wdist >= r))) for r in knots)
+    assert est.winner_distance_histogram == want
+
+
+# ---------------------------------------------------------------------------
+# batched trials: recorded bits, batch-size invariance, the keyed sampler
+
+GOLDEN = Path(__file__).parent / "data" / "small_space_golden.json"
+FAMILY_SPECS = ("plurality", "veto", "kapproval:3", "gapproval:1/2", "borda", "dowdall")
+
+
+def _dyadic7():
+    # quarter-step line with colocated pairs and one far point; float path
+    coords = np.array([0, 1, 1, 2, 3, 3, 24]) / 4.0
+    mass = np.array([10, 6, 6, 14, 11, 11, 6]) / 64.0
+    return MetricSpace(mass, matrix=np.abs(coords[:, None] - coords[None, :]))
+
+
+GOLDEN_SPACES = {"box20": lambda: random_space(17, 20, "uniform-box-L2"), "dyadic7": _dyadic7}
+
+
+def test_small_space_estimates_match_recorded_bits():
+    golden = json.loads(GOLDEN.read_text())
+    spaces = {name: make() for name, make in GOLDEN_SPACES.items()}
+    assert not any(space.exact for space in spaces.values())
+    assert {(c["family"], c["n"]) for c in golden["cases"]} == {
+        (f, n) for f in FAMILY_SPECS for n in (1, 2, 8, 64)
+    }
+    for case in golden["cases"]:
+        est = estimate_distortion(spaces[case["space"]], parse_family(case["family"]), case["n"],
+                                  golden["trials"], golden["seeds"][case["space"]],
+                                  trial_start=golden["trial_start"])
+        where = (case["space"], case["family"], case["n"])
+        assert [x.hex() for x in est.distortions.tolist()] == case["distortions"], where
+        assert [x.hex() for x in est.winner_distances.tolist()] == case["winner_distances"], where
+
+
+def test_small_space_probe_matches_recorded_counts():
+    want = json.loads(GOLDEN.read_text())["probe"]
+    seed = json.loads(GOLDEN.read_text())["seeds"][want["space"]]
+    probe = sufficiency_probe(GOLDEN_SPACES[want["space"]](), parse_family(want["family"]),
+                              want["n"], want["trials"], seed, want["z"])
+    assert [r.hex() for r in probe.radii] == want["radii"]
+    assert [v.hex() for v in probe.outside_mass_at] == want["outside_mass_at"]
+    assert list(probe.event_counts) == want["event_counts"]
+    assert list(probe.winner_outside_counts) == want["winner_outside_counts"]
+    assert list(probe.violation_counts) == want["violation_counts"]
+    assert sum(want["violation_counts"]) > 0  # the recorded probe is not all zeros
+
+
+def _batch_runs(space):
+    runs = [estimate_distortion(space, parse_family(f), n, 37, 11, trial_start=3, jobs=jobs)
+            for f, n in (("borda", 64), ("plurality", 2), ("veto", 5)) for jobs in (1, 2)]
+    probe = sufficiency_probe(space, Veto(), 8, 90, 11, 0.6)
+    return runs, probe
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40])
+def test_batch_budget_changes_no_bit(monkeypatch, budget):
+    space = random_space(6, 20, "uniform-box-L2")
+    runs, probe = _batch_runs(space)
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", budget)
+    again, again_probe = _batch_runs(space)
+    assert again_probe == probe
+    for a, b in zip(runs, again):
+        assert a == b
+        assert a.distortions.tobytes() == b.distortions.tobytes()
+        assert a.winner_distances.tobytes() == b.winner_distances.tobytes()
+
+
+def test_estimate_winner_distances_feed_the_probe():
+    # the estimate elects the probe's trials, so its winner distances give
+    # the same counts as the probe's own elections
+    space = random_space(8, 20, "uniform-box-L2")
+    est = estimate_distortion(space, Veto(), 8, 120, 4, jobs=2)
+    probe = sufficiency_probe(space, Veto(), 8, 120, 4, 0.6)
+    assert _probe_counts(space, 8, 4, 0.6, est.winner_distances) == probe
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**63 + 12345, 2**64 - 1])
+def test_trial_uniforms_are_the_keyed_philox_streams(seed):
+    got = trial_uniforms(seed, 2**32 - 2, 5, 9)
+    for i, row in enumerate(got):
+        key = np.array([seed, 2**32 - 2 + i], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(9)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_sample_candidates_is_a_row_of_the_batch():
+    space = random_space(5, 20, "uniform-box-L2")
+    batch = montecarlo._slates(space, 6, 3, 10, 4)
+    for i in range(4):
+        assert sample_candidates(space, 6, 3, 10 + i).tobytes() == batch[i].tobytes()

@@ -81,8 +81,8 @@ def solve_parameters(
     first-class for desk-scale runs.  An n below the tail-bound floor n0 is
     allowed but warned about: the event-probability guarantee needs n >= n0.
     """
-    if rho <= 1:
-        raise ValueError("rho must exceed 1")
+    if not 1 < rho < math.inf:
+        raise ValueError("rho must satisfy 1 < rho < inf")
     if m_atoms < 2 or (n_override is not None and n_override < 2):
         raise ValueError("m_atoms and n must be >= 2")
     # 2b^2 + (6 rho - 4) b - 1 = 0, root in (0, 1/2)
@@ -95,14 +95,16 @@ def solve_parameters(
     floor = 4 / beta**2
     n0 = round(floor) if abs(floor - round(floor)) < 1e-9 else math.ceil(floor)
     n = n0 if n_override is None else n_override
+    big_n = n**3 if big_n_override is None else big_n_override
+    if big_n < 1:
+        raise ValueError("near-location count must be >= 1")
+    if max(big_n, m_atoms) > 1 << 32:  # hash keys pack two 32-bit indices
+        raise ValueError("near-location and far-atom counts must be at most 2^32")
     if n < n0:
         warnings.warn(
             f"n={n} is below the tail-bound floor n0={n0}; "
             "the slate-event probability guarantee does not apply"
         )
-    big_n = n**3 if big_n_override is None else big_n_override
-    if big_n < 1:
-        raise ValueError("near-location count must be >= 1")
     return AdversarialParams(
         target_distortion=rho,
         far_mass=beta,

@@ -35,6 +35,13 @@ def _default_jobs() -> int:
         return 1
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=positive_int, default=_default_jobs())
     p.add_argument("--probe-z", type=rational, help="also run the sufficiency probe at this z")
     p.add_argument("--probe-out")
     p.add_argument("--histogram-out")
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="candidate count override")
     p.add_argument("--big-n", type=int, help="near-cluster location count override")
     p.add_argument("--m-atoms", type=int, default=512)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=positive_int, default=_default_jobs())
     p.add_argument("--out")
     p.set_defaults(func=cmd_adversarial)
 
@@ -348,8 +355,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # covers malformed files and rejected (axiom-violating) space inputs
+    except (ValueError, OSError, MemoryError) as exc:
+        # malformed files, rejected (axiom-violating) spaces, unallocatable sizes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

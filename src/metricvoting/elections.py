@@ -139,6 +139,36 @@ def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
     return table
 
 
+#: OpenBLAS thread-count entry points, by the names its builds export
+_BLAS_NAMES = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+               "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _one_blas_thread(fn, *args):
+    """``fn(*args)`` with the OpenBLAS that numpy links against on one thread,
+    restoring its thread count after; ``fn(*args)`` as it is without one.
+    How OpenBLAS splits a gemv between threads moves the last bits of some
+    costs (n = 12 or 65 on a 65536-row block, say), so float elections sum
+    costs on one thread whatever ``jobs`` and the core count.  Not for
+    concurrent use by several threads of one process."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return fn(*args)
+    for name in _BLAS_NAMES:
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get and put:
+            threads = get()
+            put(1)
+            try:
+                return fn(*args)
+            finally:
+                put(threads)
+    return fn(*args)
+
+
 def run_election(
     space: MetricSpace,
     slate: Sequence[int],
@@ -164,7 +194,7 @@ def run_election(
         raise ValueError("exact election requires an exact space")
     if exact:
         return _run_exact(space, slate, vector)
-    scores, costs, winners, optima = _run_float(space, slate[None], vector)
+    scores, costs, winners, optima = _one_blas_thread(_run_float, space, slate[None], vector)
     return _outcome(scores[0].tolist(), costs[0].tolist(), int(winners[0]), int(optima[0]))
 
 

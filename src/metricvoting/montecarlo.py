@@ -21,7 +21,7 @@ import numpy as np
 
 from . import elections
 from ._hash import trial_uniforms
-from .elections import _distortion, _run_float, run_election
+from .elections import _distortion, _one_blas_thread, _run_float, run_election
 from .scoring import RuleFamily
 from .spaces import MetricSpace, one_median
 
@@ -123,15 +123,16 @@ def _trials(space, vector, seed, start, count):
 
 
 def _fan_out(fn, args, start, count, jobs):
-    """Run ``fn(*args, s, c)`` over contiguous trial ranges (s, c) covering
-    [start, start + count) and return the parts in trial order; ranges go to
-    ``jobs`` worker processes unless jobs <= 1 or there are under 4 trials."""
+    """Run ``fn(*args, s, c)`` on one BLAS thread over contiguous trial ranges
+    (s, c) covering [start, start + count) and return the parts in trial
+    order; ranges go to ``jobs`` worker processes (one per core, where a
+    second BLAS thread would spin) unless jobs <= 1 or under 4 trials."""
     if jobs <= 1 or count < 4:
-        return [fn(*args, start, count)]
+        return [_one_blas_thread(fn, *args, start, count)]
     step = -(-count // jobs)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(fn, *args, start + off, min(step, count - off))
+            pool.submit(_one_blas_thread, fn, *args, start + off, min(step, count - off))
             for off in range(0, count, step)
         ]
         return [f.result() for f in futures]

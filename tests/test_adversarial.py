@@ -61,6 +61,20 @@ def test_solve_parameters_rejects_bad_rho():
         solve_parameters(1.0)
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+def test_solve_parameters_rejects_non_finite_rho(rho):
+    with pytest.raises(ValueError, match="1 < rho < inf"):
+        solve_parameters(rho)
+
+
+@pytest.mark.parametrize("big_n, m_atoms", [(2**32 + 1, 512), (64, 2**32 + 1)])
+def test_solve_parameters_rejects_sizes_beyond_the_hash_key(big_n, m_atoms):
+    # distance hashes pack two location indices of up to 32 bits each
+    with pytest.raises(ValueError, match="at most 2\\^32"):
+        solve_parameters(1.25, n_override=64, big_n_override=big_n, m_atoms=m_atoms)
+    assert solve_parameters(1.25, n_override=64, big_n_override=2**32).near_locations == 2**32
+
+
 def test_small_n_override_warns():
     with pytest.warns(UserWarning, match="floor"):
         solve_parameters(1.25, n_override=16)
@@ -219,6 +233,20 @@ def test_experiment_uneven_fan_out_matches_serial():
     parallel = run_experiment(1.25, Plurality(), 5, seed=8, jobs=2, **kwargs)
     assert [r.trial for r in serial.records] == list(range(5))
     assert serial.records == parallel.records
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_costs_do_not_depend_on_the_blas_thread_split():
+    # 70512 locations and n = 12: OpenBLAS on 2 threads sums some of these
+    # costs to other last bits than on one thread
+    kwargs = dict(n_override=12, big_n_override=70000)
+    serial = run_experiment(1.25, Borda(), 8, seed=3, jobs=1, **kwargs)
+    parallel = run_experiment(1.25, Borda(), 8, seed=3, jobs=2, **kwargs)
+    assert serial.records == parallel.records
+    space, vec = build_instance(serial.params, 3).space, score_vector(Borda(), 12)
+    for rec in serial.records:  # a lone election is its trial, bit for bit
+        lone = run_election(space, sample_candidates(space, 12, 3, rec.trial), vec)
+        assert lone.distortion == rec.distortion
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

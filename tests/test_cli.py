@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from metricvoting import save_space
+from metricvoting import adversarial, save_space
 from metricvoting.cli import main
 
 
@@ -208,3 +208,40 @@ def test_decimal_y_grid_is_exact():
                         "--n-min", "11", "--n-max", "11")
     assert code == 0
     assert out.splitlines()[2] == "borda,9,10,11,81/20,27/50,1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--rho", "nan"), "error: rho must satisfy 1 < rho < inf\n"),
+    (("--rho", "inf"), "error: rho must satisfy 1 < rho < inf\n"),
+    (("--rho", "1.25", "--n", "64", "--big-n", "5000000000"),
+     "error: near-location and far-atom counts must be at most 2^32\n"),
+    (("--rho", "1.25", "--n", "64", "--big-n", "64", "--m-atoms", str(2**32 + 1)),
+     "error: near-location and far-atom counts must be at most 2^32\n"),
+])
+def test_adversarial_bad_parameters_are_input_errors(capsys, argv, message):
+    code, out = run_cli("adversarial", *argv, "--family", "plurality",
+                        "--trials", "4", "--seed", "1")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == message
+
+
+def test_memory_error_is_input_error(capsys, monkeypatch):
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setattr(adversarial, "run_experiment", too_big)
+    code, out = run_cli("adversarial", "--rho", "1.25", "--family", "plurality",
+                        "--trials", "4", "--seed", "1")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: Unable to allocate 32.0 GiB\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("estimate", "--random", "6,uniform-box-L2", "--family", "borda", "--n", "3"),
+    ("adversarial", "--rho", "1.25", "--family", "plurality", "--n", "12", "--big-n", "64"),
+])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_input_error(capsys, command, jobs):
+    code, out = run_cli(*command, "--trials", "5", "--seed", "1", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs: must be a positive integer" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from metricvoting import (
     solve_parameters,
 )
 from metricvoting import adversarial, elections
+from metricvoting.montecarlo import _fan_out
 from metricvoting.scoring import Borda, Plurality, ScoringVector, Veto, normalize, parse_family
 
 
@@ -239,6 +240,22 @@ def test_float_kernel_matches_recorded_bits(golden_instance):
         want = (case["scores"], case["winner"], case["optimum"],
                 case["winner_cost"], case["optimum_cost"])
         assert got == want, case["family"]
+
+
+def _golden_part(space, cases, start, count):
+    return [_hexed(run_election(space, c["slate"], score_vector(parse_family(c["family"]), 16)))
+            for c in cases[start:start + count]]
+
+
+def test_float_kernel_bits_in_one_blas_thread_workers(golden_instance):
+    # fan-out workers run BLAS with one thread; each cost gemv over a
+    # 65536 x 16 block is still summed to the recorded bits
+    cases = json.loads(GOLDEN.read_text())["cases"]
+    parts = _fan_out(_golden_part, (golden_instance, cases), 0, len(cases), jobs=2)
+    assert len(parts) == 2
+    want = [(c["scores"], c["winner"], c["optimum"], c["winner_cost"], c["optimum_cost"])
+            for c in cases]
+    assert [outcome for part in parts for outcome in part] == want
 
 
 @pytest.mark.parametrize("sub_rows", [7, 1000, 4096])

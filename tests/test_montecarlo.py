@@ -1,5 +1,7 @@
+import ctypes
 import json
 import math
+import multiprocessing
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from metricvoting import (
     sample_candidates,
     sufficiency_probe,
 )
-from metricvoting import montecarlo
+from metricvoting import elections, montecarlo
 from metricvoting._hash import trial_uniforms
 from metricvoting.montecarlo import _probe_counts, _summarize
 from metricvoting.scoring import Borda, Plurality, Veto, parse_family
@@ -286,3 +288,42 @@ def test_sample_candidates_is_a_row_of_the_batch():
     batch = montecarlo._slates(space, 6, 3, 10, 4)
     for i in range(4):
         assert sample_candidates(space, 6, 3, 10 + i).tobytes() == batch[i].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# every fan-out part runs BLAS on one thread
+
+
+_BLAS_GETTERS = tuple(name.format("get") for name in elections._BLAS_NAMES)
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, or None without a known getter."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for name in _BLAS_GETTERS:
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            return getter()
+    return None
+
+
+def _report_blas_threads(start, count):
+    return _blas_threads()
+
+
+def test_fan_out_runs_every_part_on_one_blas_thread():
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread getter")
+    for jobs in (1, 2, 3):
+        assert montecarlo._fan_out(_report_blas_threads, (), 0, 9, jobs) == [1] * jobs
+        assert _blas_threads() == before
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched names only when forked")
+def test_fan_out_without_a_blas_setter_runs_unchanged(monkeypatch):
+    before = _blas_threads()
+    monkeypatch.setattr(elections, "_BLAS_NAMES", ("no_such_blas_{}_num_threads",))
+    for jobs in (1, 2):
+        assert montecarlo._fan_out(_report_blas_threads, (), 0, 8, jobs) == [before] * jobs

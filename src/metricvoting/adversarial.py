@@ -7,8 +7,10 @@ a small "far" cluster F (mass beta on M atoms discretizing the interval
 distances sit in [D, D+1] and encode, per far atom, an independent uniform
 random ordering of the near locations via a tiny hashed perturbation.
 
-Everything is derived lazily from (seed, indices): no distance is ever
-stored, so N ~ 10^5..10^7 costs O(1) memory.  The experiment then measures
+Distances are derived lazily from (seed, indices) and never stored; the
+space holds only the masses and their cumulative sum, 16 bytes per location
+(64 MiB held and 225 MiB at peak while building at N = 2^22).  The
+experiment then measures
 how often a representative slate hands the election to the far cluster, and
 the distortion that follows.
 """

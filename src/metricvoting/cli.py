@@ -13,6 +13,7 @@ runtime (failed validation, oracle mismatch).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -48,21 +49,18 @@ def _resolve_seed(args) -> int:
     return int.from_bytes(os.urandom(4), "big")
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
-
-
-def _close_out(fh):
-    if fh is not sys.stdout:
-        fh.close()
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path``, closed on exit, or stdout without a path."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
 def _header(out, **fields):
     print("# " + " ".join(f"{k}={v}" for k, v in fields.items()), file=out)
-
-
-def _frac_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def rational(text: str) -> Fraction:
@@ -106,8 +104,7 @@ def cmd_validate(args) -> int:
 def cmd_cost(args) -> int:
     space = spaces.load_space(args.space, validate_axioms=not args.no_validate)
     targets = [args.location] if args.location is not None else range(space.npoints)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _header(out, space=args.space, points=space.npoints)
         writer = csv.writer(out)
         writer.writerow(["location", "social_cost"])
@@ -115,8 +112,6 @@ def cmd_cost(args) -> int:
             writer.writerow([i, float(spaces.social_cost(space, i))])
         median = spaces.one_median(space)
         print(f"one_median={median} cost={float(spaces.social_cost(space, median))}", file=out)
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
@@ -132,8 +127,7 @@ def cmd_election(args) -> int:
         slate = montecarlo.sample_candidates(space, args.n, seed, args.trial).tolist()
     vector = family.score_vector(len(slate))
     outcome = run_election(space, slate, vector)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _header(out, family=family.spec, n=len(slate), seed=seed, trial=args.trial,
                 space=space.label or args.space or "")
         writer = csv.writer(out)
@@ -151,8 +145,6 @@ def cmd_election(args) -> int:
             writer.writerow(["location"] + [f"rank{r}" for r in range(len(slate))])
             for omega in range(space.npoints):
                 writer.writerow([omega] + table[omega].tolist())
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
@@ -165,8 +157,7 @@ def cmd_estimate(args) -> int:
     est = montecarlo.estimate_distortion(
         space, family, args.n, args.trials, seed, jobs=args.jobs
     )
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _header(out, family=family.spec, n=args.n, trials=args.trials, seed=seed,
                 jobs=args.jobs, scenario=space.label or args.space)
         writer = csv.writer(out)
@@ -177,8 +168,6 @@ def cmd_estimate(args) -> int:
             [space.label or args.space, args.n, est.trials, est.mean, est.stderr,
              est.ci95_low, est.ci95_high, est.max_observed, est.infinite_flag_count]
         )
-    finally:
-        _close_out(out)
     if args.histogram_out:
         with open(args.histogram_out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -187,8 +176,7 @@ def cmd_estimate(args) -> int:
     if args.probe_z is not None:
         # the estimate elected the probe's trials: reuse its winner distances
         probe = montecarlo._probe_counts(space, args.n, seed, probe_z, est.winner_distances)
-        fh = _open_out(args.probe_out)
-        try:
+        with _output(args.probe_out) as fh:
             _header(fh, z=probe.z, tilde_y=probe.tilde_y, r_tilde=probe.r_tilde,
                     median=probe.median_index, trials=probe.trials)
             writer = csv.writer(fh)
@@ -196,8 +184,6 @@ def cmd_estimate(args) -> int:
             for row in zip(probe.radii, probe.outside_mass_at, probe.event_counts,
                            probe.winner_outside_counts, probe.violation_counts):
                 writer.writerow(row)
-        finally:
-            _close_out(fh)
     return EXIT_OK
 
 
@@ -205,20 +191,17 @@ def cmd_scan(args) -> int:
     family = parse_family(args.family)
     y_grid = [rational(tok) for tok in args.y_grid.split(",")] if args.y_grid else condition.DEFAULT_Y_GRID
     report = condition.scan(family, y_grid, args.n_min, args.n_max)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _header(out, family=family.spec, n_min=args.n_min, n_max=args.n_max,
-                y_grid=",".join(_frac_str(y) for y in y_grid))
+                y_grid=",".join(spaces._format_number(y) for y in y_grid))
         writer = csv.writer(out)
         writer.writerow(["family", "y_num", "y_den", "n", "lhs", "rhs", "holds"])
         for cell in report.cells:
             writer.writerow(
                 [family.spec, cell.y.numerator, cell.y.denominator, cell.n,
-                 _frac_str(cell.lhs), _frac_str(cell.rhs), int(cell.holds)]
+                 spaces._format_number(cell.lhs), spaces._format_number(cell.rhs), int(cell.holds)]
             )
         print(str(report.verdict), file=out)
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
@@ -238,8 +221,7 @@ def cmd_adversarial(args) -> int:
         jobs=args.jobs,
     )
     p = report.params
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _header(out, rho=args.rho, family=family.spec, trials=args.trials, seed=seed,
                 n=p.n_candidates, big_n=p.near_locations, m_atoms=p.far_atoms,
                 beta=p.far_mass, cluster_distance=p.cluster_distance,
@@ -256,8 +238,6 @@ def cmd_adversarial(args) -> int:
             f"mean_distortion_given_far={report.mean_distortion_given_far:.6f}",
             file=out,
         )
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 Voters at each location rank candidates by distance (ties broken by candidate
 index, identically for all voters at a location), candidates collect
 mass-weighted positional scores, and the outcome records winner, in-slate
-optimum, and distortion.  On exact spaces the whole computation is exact
-rational arithmetic; otherwise float64.
+optimum, and distortion.  One kernel elects on float64 arrays or, on exact
+spaces, on exact Python ints: masses, distances and scores times the LCMs of
+their denominators, which are divided out into Fractions at the end.
 
 ``brute_force_outcome`` is a deliberately naive second implementation kept
 free of any shared ranking/scoring code; it exists so the fast path can be
@@ -13,6 +14,7 @@ checked against it on thousands of randomized instances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .scoring import ScoringVector, parse_family
-from .spaces import MetricSpace, random_space
+from .spaces import MetricSpace, _scaled_integers, random_space
 
 #: fixed summation block: scores and costs are summed over blocks of this
 #: many locations, so no other setting can change the output bits
@@ -92,39 +94,39 @@ def _rank(dist: np.ndarray, top_only: bool) -> np.ndarray:
     return np.argsort(dist, axis=-1, kind="stable")
 
 
-def _ranked_blocks(space: MetricSpace, slates: np.ndarray, exact: bool, top_only: bool = False):
+def _kernel_space(space: MetricSpace, exact: bool):
+    """(distance lookup, masses) for the kernel: float64, or ``space.scaled``."""
+    if not exact:
+        return space.dist_block, space.mass
+    mass, _, matrix, _ = space.scaled
+    return (lambda i, j: matrix[i, j]), mass
+
+
+def _ranked_blocks(dist_block, mass: np.ndarray, slates: np.ndarray, top_only: bool = False):
     """Yield (rows, dist, order) over all locations for a (T, n) stack of
-    slates: dist[t] holds distances to slate t's candidates, order[t] ranks
-    them by (distance, candidate index), or is only its first column when
-    ``top_only``.  Exact mode takes one slate and yields one location of
-    Fractions at a time; float mode yields summation blocks of
-    ``_CHUNK_ROWS`` locations as a slice and (T, rows, .) arrays, views of
-    buffers that the next block overwrites.  Spaces of more than
-    ``_SUB_ROWS`` points take one slate (T = 1)."""
-    if exact:
-        (slate,) = slates.tolist()
-        candidates = range(len(slate))
-        for omega, row in enumerate(space.matrix_exact):
-            dist = [row[c] for c in slate]
-            # a stable sort by distance breaks ties by candidate index
-            yield omega, dist, sorted(candidates, key=dist.__getitem__)
-        return
-    npoints = space.npoints
+    slates: dist[t] holds distances ``dist_block(i, j)`` to slate t's
+    candidates, in the dtype of ``mass``, and order[t] ranks them by
+    (distance, candidate index), or is only its first column when
+    ``top_only``.  Blocks are summation blocks of ``_CHUNK_ROWS``
+    locations, as a slice and (T, rows, .) arrays, views of buffers that
+    the next block overwrites.  Spaces of more than ``_SUB_ROWS`` points
+    take one slate (T = 1)."""
+    npoints = mass.size
     if npoints <= _SUB_ROWS:
-        dist = space.dist_block(np.arange(npoints)[None, :, None], slates[:, None, :])
+        dist = dist_block(np.arange(npoints)[None, :, None], slates[:, None, :])
         yield slice(0, npoints), dist, _rank(dist, top_only)
         return
     (slate,) = slates
     cols = slate[None, :]
     size = min(_CHUNK_ROWS, npoints)
-    dist = np.empty((size, slate.size))
+    dist = np.empty((size, slate.size), mass.dtype)
     order = np.empty((size, 1 if top_only else slate.size), dtype=np.int64)
     for start in range(0, npoints, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, npoints)
         for lo in range(start, stop, _SUB_ROWS):
             hi = min(lo + _SUB_ROWS, stop)
             sub = dist[lo - start : hi - start]
-            sub[...] = space.dist_block(np.arange(lo, hi)[:, None], cols)
+            sub[...] = dist_block(np.arange(lo, hi)[:, None], cols)
             order[lo - start : hi - start] = _rank(sub, top_only)
         yield slice(start, stop), dist[None, : stop - start], order[None, : stop - start]
 
@@ -134,7 +136,7 @@ def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
     (distance, candidate index) ascending."""
     slate = _checked_slate(space, slate)
     table = np.empty((space.npoints, slate.size), dtype=np.int64)
-    for rows, _, order in _ranked_blocks(space, slate[None], space.exact):
+    for rows, _, order in _ranked_blocks(*_kernel_space(space, space.exact), slate[None]):
         table[rows] = order
     return table
 
@@ -144,6 +146,23 @@ _BLAS_NAMES = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_thread
                "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
+@functools.cache
+def _blas_thread_calls():
+    """OpenBLAS's (get, set) thread-count functions, or None; once per process."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _BLAS_NAMES:
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get and put:
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
 def _one_blas_thread(fn, *args):
     """``fn(*args)`` with the OpenBLAS that numpy links against on one thread,
     restoring its thread count after; ``fn(*args)`` as it is without one.
@@ -151,22 +170,16 @@ def _one_blas_thread(fn, *args):
     costs (n = 12 or 65 on a 65536-row block, say), so float elections sum
     costs on one thread whatever ``jobs`` and the core count.  Not for
     concurrent use by several threads of one process."""
-    import ctypes
-
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
+    calls = _blas_thread_calls()
+    if calls is None:
         return fn(*args)
-    for name in _BLAS_NAMES:
-        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-        if get and put:
-            threads = get()
-            put(1)
-            try:
-                return fn(*args)
-            finally:
-                put(threads)
-    return fn(*args)
+    get, put = calls
+    threads = get()
+    put(1)
+    try:
+        return fn(*args)
+    finally:
+        put(threads)
 
 
 def run_election(
@@ -192,48 +205,47 @@ def run_election(
         exact = space.exact
     if exact and not space.exact:
         raise ValueError("exact election requires an exact space")
-    if exact:
-        return _run_exact(space, slate, vector)
-    scores, costs, winners, optima = _one_blas_thread(_run_float, space, slate[None], vector)
-    return _outcome(scores[0].tolist(), costs[0].tolist(), int(winners[0]), int(optima[0]))
+    scores, score_scale = _scaled_integers(vector.scores) if exact else (vector.float_scores, 1)
+    scores, costs, winners, optima = _one_blas_thread(_elect, *_kernel_space(space, exact), scores, slate[None])
+    scores, costs = scores[0].tolist(), costs[0].tolist()
+    if exact:  # divide the scales out
+        _, mass_scale, _, dist_scale = space.scaled
+        scores = [Fraction(s, mass_scale * score_scale) for s in scores]
+        costs = [Fraction(c, mass_scale * dist_scale) for c in costs]
+    return _outcome(scores, costs, int(winners[0]), int(optima[0]))
 
 
-def _run_exact(space, slate, vector):
-    n = slate.size
-    scores = [Fraction(0)] * n
-    costs = [Fraction(0)] * n
-    for omega, dist, order in _ranked_blocks(space, slate[None], exact=True):
-        mass = space.mass_exact[omega]
-        for pos, cand in enumerate(order):
-            scores[cand] += mass * vector.scores[pos]
-        for cand in range(n):
-            costs[cand] += mass * dist[cand]
-    winner = max(range(n), key=lambda i: (scores[i], -i))
-    optimum = min(range(n), key=lambda i: (costs[i], i))
-    return _outcome(scores, costs, winner, optimum)
-
-
-def _run_float(space, slates, vector):
-    """Float elections of a (T, n) stack of slates: scores and costs (T, n),
-    winners and optima (T,)."""
+def _elect(dist_block, mass, scores, slates):
+    """Elections of a (T, n) stack of slates, on ``mass``, ``dist_block(i, j)``
+    and ``scores`` all float64 or all exact Python ints (dtype object):
+    scores and costs (T, n), winners and optima (T,)."""
     count, n = slates.shape
-    scores = np.zeros((count, n))
-    costs = np.zeros((count, n))
+    dtype = mass.dtype
+    totals = np.zeros(count * n, dtype)
+    costs = np.zeros((count, n), dtype)
     # a vector that scores only the top choice (plurality) needs column 0 of
     # the ranking alone: the dropped terms are +0.0, so every bit is kept
-    width = n if vector.float_scores[1:].any() else 1
+    width = n if (scores[1:] != 0).any() else 1
     # slate t's candidates are bins t*n .. t*n + n - 1 of one bincount, each
     # summed in location order as for a single slate
     offsets = np.arange(0, count * n, n)[:, None, None]
-    for rows, dist, order in _ranked_blocks(space, slates, False, width == 1):
+    for rows, dist, order in _ranked_blocks(dist_block, mass, slates, width == 1):
         if count > 1:  # a lone slate's offset is 0
             order += offsets
         # the same mass * score weights for every slate, laid out like order
-        weights = np.multiply(space.mass[rows][:, None], vector.float_scores[:width], out=np.empty(order.shape))
-        scores += np.bincount(order.ravel(), weights=weights.ravel(), minlength=count * n).reshape(count, n)
+        weights = np.multiply(mass[rows][:, None], scores[:width], out=np.empty(order.shape, dtype))
+        if dtype == object:  # bincount sums in float64 only
+            np.add.at(totals, order.ravel(), weights.ravel())
+        else:
+            totals += np.bincount(order.ravel(), weights=weights.ravel(), minlength=count * n)
         # one gemv per slate, the call ``mass @ dist`` makes
-        costs += np.matmul(space.mass[rows], dist)
-    return scores, costs, scores.argmax(axis=1), costs.argmin(axis=1)
+        costs += np.matmul(mass[rows], dist)
+    # a gemv can give identical columns different last bits: each candidate
+    # takes the cost of the first slate column at its location
+    first = (slates[:, :, None] == slates[:, None, :]).argmax(axis=2)
+    costs = np.take_along_axis(costs, first, axis=1)
+    totals = totals.reshape(count, n)
+    return totals, costs, totals.argmax(axis=1), costs.argmin(axis=1)
 
 
 def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> ElectionOutcome:
@@ -270,14 +282,7 @@ def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> Ele
     for i in range(1, n):
         if costs[i] < costs[optimum]:
             optimum = i
-    return ElectionOutcome(
-        scores=tuple(scores),
-        winner=winner,
-        optimum=optimum,
-        winner_cost=costs[winner],
-        optimum_cost=costs[optimum],
-        distortion=_distortion(costs[winner], costs[optimum]),
-    )
+    return _outcome(scores, costs, winner, optimum)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ trial-ordered array, which is what makes the merge byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -21,9 +20,9 @@ import numpy as np
 
 from . import elections
 from ._hash import trial_uniforms
-from .elections import _distortion, _one_blas_thread, _run_float, run_election
+from .elections import INFINITE, _distortion, _elect, _kernel_space, _one_blas_thread
 from .scoring import RuleFamily
-from .spaces import MetricSpace, one_median
+from .spaces import MetricSpace, _scaled_integers, one_median
 
 _ENUMERATION_CAP = 1_000_000
 #: trials per batch times locations times candidates: batches of trials are
@@ -98,13 +97,18 @@ def _summarize(distortions, winner_distances, knots, trial_start) -> Estimate:
     )
 
 
+def _batch_step(npoints, n):
+    """Slates per batch: ``_BATCH_ELEMENTS`` (slate, location, candidate)
+    elements, or one slate on spaces of more than ``elections._SUB_ROWS``."""
+    if npoints > elections._SUB_ROWS:
+        return 1
+    return max(1, _BATCH_ELEMENTS // (npoints * n))
+
+
 def _slate_batches(space, n, seed, start, count):
     """Yield (trial indices, slates) over trials start..start+count-1 in
-    batches of up to ``_BATCH_ELEMENTS`` (trial, location, candidate)
-    elements; spaces of more than ``elections._SUB_ROWS`` points take one
-    trial per batch."""
-    small = space.npoints <= elections._SUB_ROWS
-    step = max(1, _BATCH_ELEMENTS // (space.npoints * n)) if small else 1
+    batches of ``_batch_step`` trials."""
+    step = _batch_step(space.npoints, n)
     for lo in range(start, start + count, step):
         hi = min(lo + step, start + count)
         yield range(lo, hi), _slates(space, n, seed, lo, hi - lo)
@@ -116,7 +120,7 @@ def _trials(space, vector, seed, start, count):
     its keyed slate and runs one float election on it; ``winners`` holds
     the winners' locations."""
     for trials, slates in _slate_batches(space, vector.n, seed, start, count):
-        _, costs, winners, optima = _run_float(space, slates, vector)
+        _, costs, winners, optima = _elect(space.dist_block, space.mass, vector.float_scores, slates)
         rows = np.arange(len(trials))
         wcost, ocost = costs[rows, winners], costs[rows, optima]
         yield trials, slates, slates[rows, winners], wcost, ocost, _distortion(wcost, ocost)
@@ -189,26 +193,34 @@ def exact_expected_distortion(space: MetricSpace, family: RuleFamily, n: int):
     npts = space.npoints
     if npts**n > _ENUMERATION_CAP:
         raise ValueError(f"P^n = {npts**n} exceeds enumeration cap {_ENUMERATION_CAP}")
+    dist_block, mass = _kernel_space(space, space.exact)
     vector = family.score_vector(n)
-    masses = space.mass_exact if space.exact else space.mass
-    zero = Fraction(0) if space.exact else 0.0
-    total = zero
-    weight = zero
-    infinite_mass = zero
-    for slate in itertools.product(range(npts), repeat=n):
-        prob = masses[slate[0]]
-        for loc in slate[1:]:
-            prob = prob * masses[loc]
-        outcome = run_election(space, slate, vector)
-        if outcome.infinite:
-            infinite_mass = infinite_mass + prob
+    scores = _scaled_integers(vector.scores)[0] if space.exact else vector.float_scores
+    # a slate's distortion depends only on the costs of its winner's and its
+    # optimum's locations: sum the slate probabilities (times mass scale^n
+    # on exact spaces) by winner location * P + optimum location
+    pairs, cost = {}, np.zeros(npts, mass.dtype)
+    step = _batch_step(npts, n)
+    for lo in range(0, npts**n, step):
+        slates = np.stack(np.unravel_index(np.arange(lo, min(lo + step, npts**n)), (npts,) * n), axis=1)
+        _, costs, winners, optima = _one_blas_thread(_elect, dist_block, mass, scores, slates)
+        cost[slates] = costs
+        rows = np.arange(len(slates))
+        keys = slates[rows, winners] * npts + slates[rows, optima]
+        for key, prob in zip(keys.tolist(), mass[slates].prod(axis=1).tolist()):
+            pairs[key] = pairs.get(key, 0) + prob
+    cost = [Fraction(c) for c in cost.tolist()] if space.exact else cost.tolist()
+    total = weight = infinite_mass = 0
+    for key, prob in pairs.items():
+        distortion = _distortion(cost[key // npts], cost[key % npts])
+        if distortion == INFINITE:
+            infinite_mass += prob
         else:
-            total = total + prob * outcome.distortion
-            weight = weight + prob
+            total += prob * distortion
+            weight += prob
     if infinite_mass > 0:
-        warnings.warn(
-            f"excluding probability mass {float(infinite_mass):g} of zero-cost-optimum slates"
-        )
+        scale = space.scaled[1] ** n if space.exact else 1
+        warnings.warn(f"excluding probability mass {infinite_mass / scale:g} of zero-cost-optimum slates")
     if weight == 0:
         raise ValueError("all slates have infinite distortion")
     return total / weight

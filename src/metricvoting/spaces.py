@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -120,6 +121,14 @@ class MetricSpace:
         self.mass = np.array([float(m) for m in mass_list], dtype=np.float64)
         self.cum_mass = np.cumsum(self.mass)
 
+    @cached_property
+    def scaled(self):
+        """(mass, mass scale, matrix, distance scale): an exact space's masses
+        and distances times the LCMs of their denominators (``_scaled_integers``)."""
+        mass, mass_scale = _scaled_integers(self.mass_exact)
+        matrix, scale = _scaled_integers([d for row in self.matrix_exact for d in row])
+        return mass, mass_scale, matrix.reshape(self.npoints, -1), scale
+
     def __repr__(self):
         kind = "matrix" if self.matrix is not None else "derived"
         return f"MetricSpace(P={self.npoints}, {kind}, exact={self.exact}, label={self.label!r})"
@@ -177,13 +186,11 @@ def _triangle_scan(matrix: np.ndarray, tol, scale=1):
     return found
 
 
-def _scaled_integer_matrix(rows):
-    """Exact distances times the LCM of their denominators, as int64 when the
-    scan's sums of two entries cannot overflow, else as Python ints."""
-    scale = math.lcm(*(d.denominator for r in rows for d in r))
-    ints = [[d.numerator * (scale // d.denominator) for d in r] for r in rows]
-    big = max(abs(v) for r in ints for v in r)
-    return np.array(ints, dtype=np.int64 if 3 * big < 2**63 else object), scale
+def _scaled_integers(values):
+    """Exact values times the LCM of their denominators as Python ints (dtype
+    object), on which sums and comparisons stay exact, and that LCM."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object), scale
 
 
 def validate(
@@ -197,7 +204,7 @@ def validate(
     All triples are checked when the space stores a matrix and has at most
     ``triple_cap`` points; otherwise a seeded sample of ``triangle_samples``
     triples is drawn.  Exact spaces are checked in exact arithmetic, over
-    the distances scaled to integers by the LCM of their denominators.
+    their distances scaled to integers (``MetricSpace.scaled``).
     """
     violations = []
     npts = space.npoints
@@ -233,7 +240,9 @@ def validate(
         if npts <= triple_cap:
             checked = npts**3
             if space.exact:
-                ints, scale = _scaled_integer_matrix(space.matrix_exact)
+                _, _, ints, scale = space.scaled
+                if 3 * np.abs(ints).max() < 2**63:  # the scan's sums of two entries fit an int64
+                    ints = ints.astype(np.int64)
                 violations.extend(_triangle_scan(ints, 0, scale))
             else:
                 violations.extend(_triangle_scan(mat, _FLOAT_TRIANGLE_TOL))
@@ -286,9 +295,8 @@ def social_cost(space: MetricSpace, location: int):
     if not 0 <= location < space.npoints:
         raise IndexError(f"location {location} out of range for P={space.npoints}")
     if space.exact:
-        return sum(
-            m * d for m, d in zip(space.mass_exact, space.matrix_exact[location])
-        )
+        mass, mass_scale, matrix, scale = space.scaled
+        return Fraction(mass @ matrix[location], mass_scale * scale)
     return float(space.mass @ space.distances_from(location))
 
 
@@ -301,15 +309,10 @@ def one_median(space: MetricSpace) -> int:
     """Index minimizing social cost; ties broken by lowest index."""
     if space.npoints == 0:
         raise ValueError("empty space has no 1-median")
-    if space.exact:
-        best, best_cost = 0, social_cost(space, 0)
-        for i in range(1, space.npoints):
-            c = social_cost(space, i)
-            if c < best_cost:
-                best, best_cost = i, c
-        return best
     if space.matrix is not None:
-        return int(np.argmin(space.mass @ space.matrix))
+        # exact spaces compare their costs scaled to integers
+        mass, matrix = (space.scaled[0], space.scaled[2]) if space.exact else (space.mass, space.matrix)
+        return int(np.argmin(mass @ matrix))
     if space.npoints > _DERIVED_MEDIAN_CAP:
         raise ValueError(
             f"exhaustive 1-median on a derived-distance space is capped at "
@@ -326,11 +329,8 @@ def outside_mass(space: MetricSpace, center: int, r):
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if space.exact and _is_exact(r):
-        r = Fraction(r)
-        inside = sum(
-            m for m, d in zip(space.mass_exact, space.matrix_exact[center]) if d <= r
-        )
-        return 1 - inside
+        mass, mass_scale, matrix, scale = space.scaled
+        return 1 - Fraction(mass[matrix[center] <= r * scale].sum(), mass_scale)
     d = space.distances_from(center)
     return float(1.0 - space.mass[d <= float(r)].sum())
 

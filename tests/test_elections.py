@@ -20,7 +20,7 @@ from metricvoting import (
     score_vector,
     solve_parameters,
 )
-from metricvoting import adversarial, elections
+from metricvoting import adversarial, elections, montecarlo
 from metricvoting.montecarlo import _fan_out
 from metricvoting.scoring import Borda, Plurality, ScoringVector, Veto, normalize, parse_family
 
@@ -79,7 +79,8 @@ def test_batched_kernel_equals_single_elections(data):
     # duplicate candidates and colocated points tie at every location
     slates = data.draw(st.lists(st.lists(st.integers(0, len(coords) - 1), min_size=n, max_size=n),
                                 min_size=1, max_size=6))
-    scores, costs, winners, optima = elections._run_float(space, np.array(slates), vec)
+    scores, costs, winners, optima = elections._elect(space.dist_block, space.mass, vec.float_scores,
+                                                       np.array(slates))
     for t, slate in enumerate(slates):
         alone = run_election(space, slate, vec, exact=False)
         assert scores[t].tobytes() == np.array(alone.scores).tobytes()
@@ -88,6 +89,82 @@ def test_batched_kernel_equals_single_elections(data):
         assert costs[t][alone.optimum].hex() == alone.optimum_cost.hex()
         ref = brute_force_outcome(space, slate, vec)
         assert (alone.winner, alone.optimum) == (ref.winner, ref.optimum)
+
+
+@pytest.mark.parametrize("sub_rows", [elections._SUB_ROWS, 7])
+def test_exact_election_beyond_int64_and_float(monkeypatch, sub_rows):
+    # 30 points on a line, d = |i - j|, with d(1, 2) raised by 3^-50: scaled
+    # by the LCM 3^50 the distances overflow an int64, and in float64 the
+    # voter at 1 ties candidates at 0 and 2 that exact arithmetic ranks apart
+    tiny = F(1, 3**50)
+    rows = [[F(abs(i - j)) for j in range(30)] for i in range(30)]
+    rows[1][2] = rows[2][1] = 1 + tiny
+    space = MetricSpace([F(i + 1, 465) for i in range(30)], matrix=rows)
+    assert float(rows[1][2]) == rows[1][0]
+    # seven rows per block send 30 points through the per-block buffers
+    monkeypatch.setattr(elections, "_SUB_ROWS", sub_rows)
+    slate = [2, 0, 2, 29, 1]
+    table = rankings(space, slate)
+    for omega in range(30):
+        want = sorted(range(len(slate)), key=lambda c: (rows[omega][slate[c]], c))
+        assert table[omega].tolist() == want
+    assert table[1].tolist() == [4, 1, 0, 2, 3]
+    for spec in ("plurality", "borda", "dowdall", "kapproval:2"):
+        vec = score_vector(parse_family(spec), len(slate))
+        assert run_election(space, slate, vec) == brute_force_outcome(space, slate, vec)
+
+
+_SIX_FAMILIES = ("plurality", "veto", "kapproval:2", "borda", "dowdall", "gapproval:1/2")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_election_equals_brute_force(data):
+    # few distinct coordinates and weights make ties in distance and in
+    # score common; duplicate slate entries tie at every location
+    npts = data.draw(st.integers(1, 7))
+    coords = data.draw(st.lists(st.integers(0, 4), min_size=npts, max_size=npts))
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=npts, max_size=npts))
+    if not any(weights):
+        weights[0] = 1
+    denominator = data.draw(st.integers(1, 6))
+    space = MetricSpace([F(w, sum(weights)) for w in weights],
+                        matrix=[[F(abs(a - b), denominator) for b in coords] for a in coords])
+    n = data.draw(st.integers(1, 7))
+    slate = data.draw(st.lists(st.integers(0, npts - 1), min_size=n, max_size=n))
+    vec = score_vector(parse_family(data.draw(st.sampled_from(_SIX_FAMILIES))), n)
+    fast = run_election(space, slate, vec)
+    naive = brute_force_outcome(space, slate, vec)
+    assert fast.scores == naive.scores
+    assert (fast.winner, fast.optimum) == (naive.winner, naive.optimum)
+    assert (fast.winner_cost, fast.optimum_cost) == (naive.winner_cost, naive.optimum_cost)
+    assert fast.distortion == naive.distortion
+    assert all(isinstance(v, F) for v in (*fast.scores, fast.winner_cost, fast.optimum_cost))
+
+
+def _derived_copy(space):
+    matrix = space.matrix
+    return MetricSpace(space.mass, block_fn=lambda i, j: matrix[i, j])
+
+
+@pytest.mark.parametrize("space", [random_space(1, 20, "uniform-box-L2"),
+                                   random_space(2, 8, "iid-unit-interval-distances")],
+                         ids=["box", "iid"])
+def test_duplicate_candidates_get_equal_costs(space):
+    # one gemv per slate can give identical distance columns different last
+    # bits (n >= 5, n % 4 != 0); duplicate candidates must cost the same
+    for source in (space, _derived_copy(space)):
+        for n in range(1, 71):
+            vec = score_vector(Borda(), n)
+            slates = montecarlo._slates(source, n, n, 0, 4)
+            _, costs, _, optima = elections._elect(source.dist_block, source.mass,
+                                                   vec.float_scores, slates)
+            for slate, cost, optimum in zip(slates, costs, optima):
+                first = [slate.tolist().index(loc) for loc in slate]
+                assert cost.tobytes() == cost[first].tobytes()
+            slate = slates[0]
+            assert optima[0] == brute_force_outcome(source, slate, vec).optimum
+            assert run_election(source, slate, vec).optimum == optima[0]
 
 
 def test_rankings_reject_bad_slate(line_space):

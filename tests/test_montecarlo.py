@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import json
 import math
 import multiprocessing
@@ -71,6 +72,25 @@ def test_exact_oracle_values(two_point_space, asym_line_space):
     # asymmetric masses do produce strictly positive expected excess
     val = exact_expected_distortion(asym_line_space, Plurality(), 3)
     assert isinstance(val, F) and val > 1
+
+
+def test_exact_oracle_on_float_copy_of_dyadic_space():
+    # dyadic masses, distances and scores (Borda at n = 5, Dowdall at n = 3)
+    # make every float score sum exact, so the float enumeration elects the
+    # same winners and differs from the exact expectation only by the
+    # rounding of its costs and sums
+    coords = [0, 1, 1, 3, 6, 7]
+    exact = MetricSpace([F(w, 16) for w in (1, 2, 5, 3, 4, 1)],
+                        matrix=[[F(abs(a - b), 4) for b in coords] for a in coords])
+    floated = MetricSpace(exact.mass, matrix=exact.matrix)
+    assert exact.exact and not floated.exact
+    for spec, n in (("plurality", 4), ("veto", 4), ("kapproval:2", 4), ("borda", 5),
+                    ("dowdall", 3), ("gapproval:1/2", 4)):
+        family = parse_family(spec)
+        want = exact_expected_distortion(exact, family, n)
+        got = exact_expected_distortion(floated, family, n)
+        assert isinstance(want, F) and isinstance(got, float)
+        assert abs(got - float(want)) <= 1e-12, spec
 
 
 def test_exact_oracle_enumeration_guard(two_point_space):
@@ -320,10 +340,24 @@ def test_fan_out_runs_every_part_on_one_blas_thread():
         assert _blas_threads() == before
 
 
+def test_blas_lookup_runs_once_per_process(monkeypatch):
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread getter")
+    elections._one_blas_thread(int)
+    monkeypatch.setattr(ctypes, "CDLL", None)  # a second lookup would fail
+    get, _ = elections._blas_thread_calls()
+    assert elections._one_blas_thread(get) == 1
+    assert get() == before
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers see the patched names only when forked")
 def test_fan_out_without_a_blas_setter_runs_unchanged(monkeypatch):
     before = _blas_threads()
     monkeypatch.setattr(elections, "_BLAS_NAMES", ("no_such_blas_{}_num_threads",))
+    # the lookup is cached per process: look up afresh under the patched names
+    fresh = functools.cache(elections._blas_thread_calls.__wrapped__)
+    monkeypatch.setattr(elections, "_blas_thread_calls", fresh)
     for jobs in (1, 2):
         assert montecarlo._fan_out(_report_blas_threads, (), 0, 8, jobs) == [before] * jobs

@@ -14,7 +14,6 @@ checked against it on thousands of randomized instances.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,11 +94,12 @@ def _rank(dist: np.ndarray, top_only: bool) -> np.ndarray:
 
 
 def _kernel_space(space: MetricSpace, exact: bool):
-    """(distance lookup, masses) for the kernel: float64, or ``space.scaled``."""
+    """(distance lookup, masses, location costs) for the kernel: float64, or
+    ``space.scaled`` and ``space.scaled_costs``; derived spaces have no costs."""
     if not exact:
-        return space.dist_block, space.mass
+        return space.dist_block, space.mass, space.costs
     mass, _, matrix, _ = space.scaled
-    return (lambda i, j: matrix[i, j]), mass
+    return (lambda i, j: matrix[i, j]), mass, space.scaled_costs
 
 
 def _ranked_blocks(dist_block, mass: np.ndarray, slates: np.ndarray, top_only: bool = False):
@@ -136,50 +136,10 @@ def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
     (distance, candidate index) ascending."""
     slate = _checked_slate(space, slate)
     table = np.empty((space.npoints, slate.size), dtype=np.int64)
-    for rows, _, order in _ranked_blocks(*_kernel_space(space, space.exact), slate[None]):
+    dist_block, mass, _ = _kernel_space(space, space.exact)
+    for rows, _, order in _ranked_blocks(dist_block, mass, slate[None]):
         table[rows] = order
     return table
-
-
-#: OpenBLAS thread-count entry points, by the names its builds export
-_BLAS_NAMES = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-               "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-
-
-@functools.cache
-def _blas_thread_calls():
-    """OpenBLAS's (get, set) thread-count functions, or None; once per process."""
-    import ctypes
-
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-    for name in _BLAS_NAMES:
-        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-        if get and put:
-            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-            return get, put
-    return None
-
-
-def _one_blas_thread(fn, *args):
-    """``fn(*args)`` with the OpenBLAS that numpy links against on one thread,
-    restoring its thread count after; ``fn(*args)`` as it is without one.
-    How OpenBLAS splits a gemv between threads moves the last bits of some
-    costs (n = 12 or 65 on a 65536-row block, say), so float elections sum
-    costs on one thread whatever ``jobs`` and the core count.  Not for
-    concurrent use by several threads of one process."""
-    calls = _blas_thread_calls()
-    if calls is None:
-        return fn(*args)
-    get, put = calls
-    threads = get()
-    put(1)
-    try:
-        return fn(*args)
-    finally:
-        put(threads)
 
 
 def run_election(
@@ -206,7 +166,7 @@ def run_election(
     if exact and not space.exact:
         raise ValueError("exact election requires an exact space")
     scores, score_scale = _scaled_integers(vector.scores) if exact else (vector.float_scores, 1)
-    scores, costs, winners, optima = _one_blas_thread(_elect, *_kernel_space(space, exact), scores, slate[None])
+    scores, costs, winners, optima = _elect(*_kernel_space(space, exact), scores, slate[None])
     scores, costs = scores[0].tolist(), costs[0].tolist()
     if exact:  # divide the scales out
         _, mass_scale, _, dist_scale = space.scaled
@@ -215,14 +175,16 @@ def run_election(
     return _outcome(scores, costs, int(winners[0]), int(optima[0]))
 
 
-def _elect(dist_block, mass, scores, slates):
+def _elect(dist_block, mass, costs, scores, slates):
     """Elections of a (T, n) stack of slates, on ``mass``, ``dist_block(i, j)``
     and ``scores`` all float64 or all exact Python ints (dtype object):
-    scores and costs (T, n), winners and optima (T,)."""
+    scores and costs (T, n), winners and optima (T,).  A candidate's cost is
+    its location's entry of ``costs``, or, when that is None (a derived
+    space), its distances summed here over the locations in order."""
     count, n = slates.shape
     dtype = mass.dtype
     totals = np.zeros(count * n, dtype)
-    costs = np.zeros((count, n), dtype)
+    summed = np.zeros((count, n), dtype)
     # a vector that scores only the top choice (plurality) needs column 0 of
     # the ranking alone: the dropped terms are +0.0, so every bit is kept
     width = n if (scores[1:] != 0).any() else 1
@@ -238,12 +200,9 @@ def _elect(dist_block, mass, scores, slates):
             np.add.at(totals, order.ravel(), weights.ravel())
         else:
             totals += np.bincount(order.ravel(), weights=weights.ravel(), minlength=count * n)
-        # one gemv per slate, the call ``mass @ dist`` makes
-        costs += np.matmul(mass[rows], dist)
-    # a gemv can give identical columns different last bits: each candidate
-    # takes the cost of the first slate column at its location
-    first = (slates[:, :, None] == slates[:, None, :]).argmax(axis=2)
-    costs = np.take_along_axis(costs, first, axis=1)
+        if costs is None:  # no BLAS: einsum without optimize sums in order
+            summed += np.einsum("i,tij->tj", mass[rows], dist)
+    costs = summed if costs is None else costs[slates]
     totals = totals.reshape(count, n)
     return totals, costs, totals.argmax(axis=1), costs.argmin(axis=1)
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import elections
 from ._hash import trial_uniforms
-from .elections import INFINITE, _distortion, _elect, _kernel_space, _one_blas_thread
+from .elections import INFINITE, _distortion, _elect, _kernel_space
 from .scoring import RuleFamily
-from .spaces import MetricSpace, _scaled_integers, one_median
+from .spaces import MetricSpace, _scaled_integers, one_median, social_cost
 
 _ENUMERATION_CAP = 1_000_000
 #: trials per batch times locations times candidates: batches of trials are
@@ -120,23 +120,22 @@ def _trials(space, vector, seed, start, count):
     its keyed slate and runs one float election on it; ``winners`` holds
     the winners' locations."""
     for trials, slates in _slate_batches(space, vector.n, seed, start, count):
-        _, costs, winners, optima = _elect(space.dist_block, space.mass, vector.float_scores, slates)
+        _, costs, winners, optima = _elect(*_kernel_space(space, False), vector.float_scores, slates)
         rows = np.arange(len(trials))
         wcost, ocost = costs[rows, winners], costs[rows, optima]
         yield trials, slates, slates[rows, winners], wcost, ocost, _distortion(wcost, ocost)
 
 
 def _fan_out(fn, args, start, count, jobs):
-    """Run ``fn(*args, s, c)`` on one BLAS thread over contiguous trial ranges
-    (s, c) covering [start, start + count) and return the parts in trial
-    order; ranges go to ``jobs`` worker processes (one per core, where a
-    second BLAS thread would spin) unless jobs <= 1 or under 4 trials."""
+    """Run ``fn(*args, s, c)`` over contiguous trial ranges (s, c) covering
+    [start, start + count) and return the parts in trial order; ranges go
+    to ``jobs`` worker processes unless jobs <= 1 or under 4 trials."""
     if jobs <= 1 or count < 4:
-        return [_one_blas_thread(fn, *args, start, count)]
+        return [fn(*args, start, count)]
     step = -(-count // jobs)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(_one_blas_thread, fn, *args, start + off, min(step, count - off))
+            pool.submit(fn, *args, start + off, min(step, count - off))
             for off in range(0, count, step)
         ]
         return [f.result() for f in futures]
@@ -193,18 +192,19 @@ def exact_expected_distortion(space: MetricSpace, family: RuleFamily, n: int):
     npts = space.npoints
     if npts**n > _ENUMERATION_CAP:
         raise ValueError(f"P^n = {npts**n} exceeds enumeration cap {_ENUMERATION_CAP}")
-    dist_block, mass = _kernel_space(space, space.exact)
+    dist_block, mass, cost = _kernel_space(space, space.exact)
+    if cost is None:  # derived distances: one social cost per location
+        cost = np.array([social_cost(space, i) for i in range(npts)])
     vector = family.score_vector(n)
     scores = _scaled_integers(vector.scores)[0] if space.exact else vector.float_scores
     # a slate's distortion depends only on the costs of its winner's and its
     # optimum's locations: sum the slate probabilities (times mass scale^n
     # on exact spaces) by winner location * P + optimum location
-    pairs, cost = {}, np.zeros(npts, mass.dtype)
+    pairs = {}
     step = _batch_step(npts, n)
     for lo in range(0, npts**n, step):
         slates = np.stack(np.unravel_index(np.arange(lo, min(lo + step, npts**n)), (npts,) * n), axis=1)
-        _, costs, winners, optima = _one_blas_thread(_elect, dist_block, mass, scores, slates)
-        cost[slates] = costs
+        _, _, winners, optima = _elect(dist_block, mass, cost, scores, slates)
         rows = np.arange(len(slates))
         keys = slates[rows, winners] * npts + slates[rows, optima]
         for key, prob in zip(keys.tolist(), mass[slates].prod(axis=1).tolist()):

@@ -71,6 +71,10 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 class MetricSpace:
     """Immutable finite metric space with per-point probability masses.
 
@@ -111,15 +115,30 @@ class MetricSpace:
                     raise ValueError("distance matrix must be square and match the point count")
             if rows is not None:
                 if mass_rational and all(_is_exact(d) for r in rows for d in r):
-                    self.matrix_exact = tuple(tuple(Fraction(d) for d in r) for r in rows)
+                    self.matrix_exact = tuple(tuple(map(_fraction, r)) for r in rows)
                 self.matrix = np.array([[float(d) for d in r] for r in rows], dtype=np.float64)
             if self.matrix.shape != (self.npoints, self.npoints):
                 raise ValueError("distance matrix must be square and match the point count")
 
         self.exact = self.matrix_exact is not None
-        self.mass_exact = tuple(Fraction(m) for m in mass_list) if self.exact else None
+        self.mass_exact = tuple(map(_fraction, mass_list)) if self.exact else None
         self.mass = np.array([float(m) for m in mass_list], dtype=np.float64)
         self.cum_mass = np.cumsum(self.mass)
+
+    @cached_property
+    def costs(self):
+        """Every location's social cost in float64, each summed over the
+        locations in order, as ``brute_force_outcome`` sums it (``np.einsum``
+        makes no BLAS call); None on a derived-distance space."""
+        if self.matrix is None:
+            return None
+        return np.einsum("i,ij->j", self.mass, self.matrix)
+
+    @cached_property
+    def scaled_costs(self):
+        """An exact space's social costs times both scales of ``scaled``."""
+        mass, _, matrix, _ = self.scaled
+        return np.einsum("i,ij->j", mass, matrix)
 
     @cached_property
     def scaled(self):
@@ -295,9 +314,11 @@ def social_cost(space: MetricSpace, location: int):
     if not 0 <= location < space.npoints:
         raise IndexError(f"location {location} out of range for P={space.npoints}")
     if space.exact:
-        mass, mass_scale, matrix, scale = space.scaled
-        return Fraction(mass @ matrix[location], mass_scale * scale)
-    return float(space.mass @ space.distances_from(location))
+        _, mass_scale, _, scale = space.scaled
+        return Fraction(space.scaled_costs[location], mass_scale * scale)
+    if space.matrix is not None:
+        return float(space.costs[location])
+    return float(np.einsum("i,i->", space.mass, space.distances_from(location)))
 
 
 # exhaustive 1-median on derived-distance spaces is O(P^2) block evaluations;
@@ -311,15 +332,13 @@ def one_median(space: MetricSpace) -> int:
         raise ValueError("empty space has no 1-median")
     if space.matrix is not None:
         # exact spaces compare their costs scaled to integers
-        mass, matrix = (space.scaled[0], space.scaled[2]) if space.exact else (space.mass, space.matrix)
-        return int(np.argmin(mass @ matrix))
+        return int(np.argmin(space.scaled_costs if space.exact else space.costs))
     if space.npoints > _DERIVED_MEDIAN_CAP:
         raise ValueError(
             f"exhaustive 1-median on a derived-distance space is capped at "
             f"P={_DERIVED_MEDIAN_CAP} (got {space.npoints})"
         )
-    costs = np.array([float(space.mass @ space.distances_from(i)) for i in range(space.npoints)])
-    return int(np.argmin(costs))
+    return int(np.argmin([social_cost(space, i) for i in range(space.npoints)]))
 
 
 def outside_mass(space: MetricSpace, center: int, r):
@@ -526,7 +545,6 @@ def random_space(seed: int, npoints: int, mode: str) -> MetricSpace:
     mass = [Fraction(int(w), total) for w in weights]
     rows = [[Fraction(0)] * npoints for _ in range(npoints)]
     for i in range(1, npoints):
-        draws = rng.integers(0, denom, size=i)
-        for j in range(i):
-            rows[i][j] = rows[j][i] = 1 + Fraction(int(draws[j]), denom)
+        for j, draw in enumerate(rng.integers(0, denom, size=i).tolist()):
+            rows[i][j] = rows[j][i] = Fraction(denom + draw, denom)
     return MetricSpace(mass, matrix=rows, label=label)

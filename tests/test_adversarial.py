@@ -236,9 +236,9 @@ def test_experiment_uneven_fan_out_matches_serial():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_costs_do_not_depend_on_the_blas_thread_split():
-    # 70512 locations and n = 12: OpenBLAS on 2 threads sums some of these
-    # costs to other last bits than on one thread
+def test_experiment_costs_do_not_depend_on_jobs():
+    # 70512 locations and n = 12: a worker and the calling process sum each
+    # candidate's costs to the same bits, and so does a lone election
     kwargs = dict(n_override=12, big_n_override=70000)
     serial = run_experiment(1.25, Borda(), 8, seed=3, jobs=1, **kwargs)
     parallel = run_experiment(1.25, Borda(), 8, seed=3, jobs=2, **kwargs)

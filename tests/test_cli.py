@@ -1,7 +1,11 @@
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,20 @@ def test_election_with_slate_and_rankings(line_file):
     assert "1,1,0,2" in out  # voter at location 1 ranks candidate 1 first
 
 
+def test_election_candidate_costs_are_the_outcome_costs():
+    # a candidate's printed cost is its location's social cost, the same
+    # bits as the outcome's winner and optimum costs
+    code, out = run_cli("election", "--random", "20,uniform-box-L2", "--family", "borda",
+                        "--n", "5", "--seed", "1")
+    assert code == 0
+    lines = out.splitlines()
+    rows = list(csv.reader(line for line in lines if line[:1].isdigit()))
+    summary = dict(token.split("=") for token in lines[-1].split())
+    assert len(rows) == 5
+    assert rows[int(summary["winner"])][3] == summary["winner_cost"]
+    assert rows[int(summary["optimum"])][3] == summary["optimum_cost"]
+
+
 def test_election_needs_slate_or_n(line_file):
     code, _ = run_cli("election", "--space", line_file, "--family", "borda", "--seed", "1")
     assert code == 2
@@ -245,3 +263,25 @@ def test_jobs_below_one_is_input_error(capsys, command, jobs):
     code, out = run_cli(*command, "--trials", "5", "--seed", "1", "--jobs", jobs)
     assert code == 2 and out == ""
     assert "--jobs: must be a positive integer" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cli_stdout(argv, blas_threads):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "metricvoting.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--random", "300,uniform-box-L2", "--family", "borda", "--n", "13",
+     "--trials", "200", "--seed", "4"),
+    ("adversarial", "--rho", "1.25", "--family", "borda", "--n", "12", "--big-n", "70000",
+     "--trials", "8", "--seed", "3", "--jobs", "2"),
+], ids=["estimate", "adversarial"])
+def test_blas_thread_count_changes_no_output(argv):
+    # no election calls BLAS, so its thread count reaches no output bit
+    assert _cli_stdout(argv, 1) == _cli_stdout(argv, 2)

@@ -18,6 +18,7 @@ from metricvoting import (
     rankings,
     run_election,
     score_vector,
+    social_cost,
     solve_parameters,
 )
 from metricvoting import adversarial, elections, montecarlo
@@ -79,8 +80,8 @@ def test_batched_kernel_equals_single_elections(data):
     # duplicate candidates and colocated points tie at every location
     slates = data.draw(st.lists(st.lists(st.integers(0, len(coords) - 1), min_size=n, max_size=n),
                                 min_size=1, max_size=6))
-    scores, costs, winners, optima = elections._elect(space.dist_block, space.mass, vec.float_scores,
-                                                       np.array(slates))
+    scores, costs, winners, optima = elections._elect(*elections._kernel_space(space, False),
+                                                       vec.float_scores, np.array(slates))
     for t, slate in enumerate(slates):
         alone = run_election(space, slate, vec, exact=False)
         assert scores[t].tobytes() == np.array(alone.scores).tobytes()
@@ -151,17 +152,26 @@ def _derived_copy(space):
                                    random_space(2, 8, "iid-unit-interval-distances")],
                          ids=["box", "iid"])
 def test_duplicate_candidates_get_equal_costs(space):
-    # one gemv per slate can give identical distance columns different last
-    # bits (n >= 5, n % 4 != 0); duplicate candidates must cost the same
+    # a cost belongs to its location: duplicate candidates cost the same, and
+    # on a stored space every cost is its location's sum in location order,
+    # bit for bit what brute_force_outcome and social_cost sum
+    floated = MetricSpace(space.mass, matrix=space.matrix)  # the float copy the kernel elects
+    lone = score_vector(Borda(), 1)
+    by_location = np.array([brute_force_outcome(floated, [loc], lone).winner_cost
+                            for loc in range(space.npoints)])
+    assert by_location.tobytes() == np.array([social_cost(floated, loc)
+                                              for loc in range(space.npoints)]).tobytes()
     for source in (space, _derived_copy(space)):
         for n in range(1, 71):
             vec = score_vector(Borda(), n)
             slates = montecarlo._slates(source, n, n, 0, 4)
-            _, costs, _, optima = elections._elect(source.dist_block, source.mass,
+            _, costs, _, optima = elections._elect(*elections._kernel_space(source, False),
                                                    vec.float_scores, slates)
-            for slate, cost, optimum in zip(slates, costs, optima):
+            for slate, cost in zip(slates, costs):
                 first = [slate.tolist().index(loc) for loc in slate]
                 assert cost.tobytes() == cost[first].tobytes()
+                if source is space:
+                    assert cost.tobytes() == by_location[slate].tobytes()
             slate = slates[0]
             assert optima[0] == brute_force_outcome(source, slate, vec).optimum
             assert run_election(source, slate, vec).optimum == optima[0]
@@ -324,9 +334,9 @@ def _golden_part(space, cases, start, count):
             for c in cases[start:start + count]]
 
 
-def test_float_kernel_bits_in_one_blas_thread_workers(golden_instance):
-    # fan-out workers run BLAS with one thread; each cost gemv over a
-    # 65536 x 16 block is still summed to the recorded bits
+def test_float_kernel_bits_do_not_depend_on_jobs(golden_instance):
+    # elections in fan-out workers sum every 65536 x 16 block to the
+    # recorded bits, as the calling process does
     cases = json.loads(GOLDEN.read_text())["cases"]
     parts = _fan_out(_golden_part, (golden_instance, cases), 0, len(cases), jobs=2)
     assert len(parts) == 2

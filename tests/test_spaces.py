@@ -224,6 +224,31 @@ def test_random_space_deterministic():
         assert not np.array_equal(a.matrix, c.matrix)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+def test_iid_space_is_its_defining_draws(seed):
+    # masses are weights over their sum, and each distance below the
+    # diagonal is 1 + draw / 2^20, drawn row by row after the weights
+    npoints = 9
+    space = random_space(seed, npoints, "iid-unit-interval-distances")
+    rng = np.random.default_rng([2, seed, npoints])
+    weights = rng.integers(1, 65, size=npoints).tolist()
+    assert space.mass_exact == tuple(F(w, sum(weights)) for w in weights)
+    want = [[F(0)] * npoints for _ in range(npoints)]
+    for i in range(1, npoints):
+        draws = rng.integers(0, 1 << 20, size=i)
+        for j in range(i):
+            want[i][j] = want[j][i] = 1 + F(int(draws[j]), 1 << 20)
+    assert space.matrix_exact == tuple(map(tuple, want))
+    assert all(isinstance(d, F) for row in space.matrix_exact for d in row)
+
+
+def test_exact_entries_are_kept():
+    half, far = F(1, 2), F(3, 2)
+    space = MetricSpace([half, 1 - half], matrix=[[0, far], [far, 0]])
+    assert space.mass_exact[0] is half and space.matrix_exact[0][1] is far
+    assert space.matrix_exact[0][0] == 0 and isinstance(space.matrix_exact[0][0], F)
+
+
 def test_random_space_bad_args():
     with pytest.raises(ValueError):
         random_space(1, 0, "uniform-box-L2")

@@ -32,8 +32,6 @@ from .spaces import MetricSpace
 
 _IDENTITY_TOL = 1e-12
 _COST_TOL = 1e-9
-#: rows per pass of an outer distance block; changes no output bit
-_PASS_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -167,18 +165,15 @@ class TwoClusterDistance:
         )
 
     def _outer(self, rows, cols, split) -> np.ndarray:
-        """rows x cols block, where rows[:split] are the near rows, filled in
-        passes of _PASS_ROWS rows so that the hash temporaries stay in cache."""
+        """rows x cols block, where rows[:split] are the near rows; the
+        election kernel asks for one cache-sized pass of rows at a time."""
         near_c = cols < self.near_count
         out = np.empty((rows.size, cols.size))
-        for lo in range(0, rows.size, _PASS_ROWS):
-            hi = min(lo + _PASS_ROWS, rows.size)
-            mid = min(max(split, lo), hi)
-            for row_near, col_near, fill in self._parts():
-                rsel = slice(lo, mid) if row_near else slice(mid, hi)
-                csel = near_c if col_near else ~near_c
-                if rsel.stop > rsel.start and csel.any():
-                    out[rsel, csel] = fill(rows[rsel, None], cols[None, csel])
+        for row_near, col_near, fill in self._parts():
+            rsel = slice(0, split) if row_near else slice(split, rows.size)
+            csel = near_c if col_near else ~near_c
+            if rsel.stop > rsel.start and csel.any():
+                out[rsel, csel] = fill(rows[rsel, None], cols[None, csel])
         return out
 
     def _cross_block(self, omega, atom):

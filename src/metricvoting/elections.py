@@ -27,9 +27,13 @@ from .spaces import MetricSpace, _scaled_integers, random_space
 #: fixed summation block: scores and costs are summed over blocks of this
 #: many locations, so no other setting can change the output bits
 _CHUNK_ROWS = 65536
-#: locations hashed and ranked per pass inside a summation block, so their
-#: temporaries stay in cache; it changes no output bit
-_SUB_ROWS = 2048
+#: location x slate x candidate elements per pass: a batch of slates and
+#: the locations hashed and ranked together stay within it (at least one
+#: slate and one location), so their temporaries stay in cache; it changes
+#: no output bit (at 2^15 the two-cluster elections ran 5-8% slower)
+_PASS_ELEMENTS = 1 << 17
+#: derived-distance costs summed at once; all P take O(P^2) distances
+_DERIVED_MEDIAN_CAP = 4096
 
 INFINITE = math.inf
 
@@ -102,33 +106,37 @@ def _kernel_space(space: MetricSpace, exact: bool):
     return (lambda i, j: matrix[i, j]), mass, space.scaled_costs
 
 
+def _batch_step(npoints, n):
+    """Slates per batch: as many as ``_PASS_ELEMENTS`` holds for all
+    ``npoints`` locations and ``n`` candidates each, at least one."""
+    return max(1, _PASS_ELEMENTS // (npoints * n))
+
+
 def _ranked_blocks(dist_block, mass: np.ndarray, slates: np.ndarray, top_only: bool = False):
     """Yield (rows, dist, order) over all locations for a (T, n) stack of
-    slates: dist[t] holds distances ``dist_block(i, j)`` to slate t's
-    candidates, in the dtype of ``mass``, and order[t] ranks them by
-    (distance, candidate index), or is only its first column when
-    ``top_only``.  Blocks are summation blocks of ``_CHUNK_ROWS``
-    locations, as a slice and (T, rows, .) arrays, views of buffers that
-    the next block overwrites.  Spaces of more than ``_SUB_ROWS`` points
-    take one slate (T = 1)."""
+    slates: dist[i, t] holds the distances ``dist_block(i, j)`` from
+    location i to slate t's candidates, in the dtype of ``mass``, and
+    order[i, t] ranks them by (distance, candidate index), or is only its
+    first column when ``top_only``.  Blocks are summation blocks of
+    ``_CHUNK_ROWS`` locations, as a slice and (rows, T, .) arrays, views of
+    buffers that the next block overwrites; inside a block, passes of
+    ``_PASS_ELEMENTS`` location x slate x candidate elements (at least one
+    location) are hashed and ranked together."""
     npoints = mass.size
-    if npoints <= _SUB_ROWS:
-        dist = dist_block(np.arange(npoints)[None, :, None], slates[:, None, :])
-        yield slice(0, npoints), dist, _rank(dist, top_only)
-        return
-    (slate,) = slates
-    cols = slate[None, :]
+    count, n = slates.shape
+    cols = slates.reshape(1, -1)
+    step = max(1, _PASS_ELEMENTS // slates.size)
     size = min(_CHUNK_ROWS, npoints)
-    dist = np.empty((size, slate.size), mass.dtype)
-    order = np.empty((size, 1 if top_only else slate.size), dtype=np.int64)
+    dist = np.empty((size, count, n), mass.dtype)
+    order = np.empty((size, count, 1 if top_only else n), dtype=np.int64)
     for start in range(0, npoints, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, npoints)
-        for lo in range(start, stop, _SUB_ROWS):
-            hi = min(lo + _SUB_ROWS, stop)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
             sub = dist[lo - start : hi - start]
-            sub[...] = dist_block(np.arange(lo, hi)[:, None], cols)
+            sub.reshape(hi - lo, -1)[...] = dist_block(np.arange(lo, hi)[:, None], cols)
             order[lo - start : hi - start] = _rank(sub, top_only)
-        yield slice(start, stop), dist[None, : stop - start], order[None, : stop - start]
+        yield slice(start, stop), dist[: stop - start], order[: stop - start]
 
 
 def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
@@ -138,7 +146,7 @@ def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
     table = np.empty((space.npoints, slate.size), dtype=np.int64)
     dist_block, mass, _ = _kernel_space(space, space.exact)
     for rows, _, order in _ranked_blocks(dist_block, mass, slate[None]):
-        table[rows] = order
+        table[rows] = order[:, 0]
     return table
 
 
@@ -180,31 +188,53 @@ def _elect(dist_block, mass, costs, scores, slates):
     and ``scores`` all float64 or all exact Python ints (dtype object):
     scores and costs (T, n), winners and optima (T,).  A candidate's cost is
     its location's entry of ``costs``, or, when that is None (a derived
-    space), its distances summed here over the locations in order."""
+    space), its distances summed here by ``_location_sum`` per summation
+    block, then block by block."""
     count, n = slates.shape
     dtype = mass.dtype
     totals = np.zeros(count * n, dtype)
-    summed = np.zeros((count, n), dtype)
+    summed = np.zeros(count * n, dtype)
     # a vector that scores only the top choice (plurality) needs column 0 of
     # the ranking alone: the dropped terms are +0.0, so every bit is kept
     width = n if (scores[1:] != 0).any() else 1
-    # slate t's candidates are bins t*n .. t*n + n - 1 of one bincount, each
-    # summed in location order as for a single slate
-    offsets = np.arange(0, count * n, n)[:, None, None]
+    # slate t's candidates are bins t*n .. t*n + n - 1 of one bincount; the
+    # blocks are laid out (location, slate, candidate), so each bin still
+    # takes its terms in location order, as for a single slate
+    offsets = np.arange(0, count * n, n)[:, None]
     for rows, dist, order in _ranked_blocks(dist_block, mass, slates, width == 1):
         if count > 1:  # a lone slate's offset is 0
             order += offsets
         # the same mass * score weights for every slate, laid out like order
-        weights = np.multiply(mass[rows][:, None], scores[:width], out=np.empty(order.shape, dtype))
+        weights = np.multiply(mass[rows][:, None, None], scores[:width], out=np.empty(order.shape, dtype))
         if dtype == object:  # bincount sums in float64 only
             np.add.at(totals, order.ravel(), weights.ravel())
         else:
             totals += np.bincount(order.ravel(), weights=weights.ravel(), minlength=count * n)
-        if costs is None:  # no BLAS: einsum without optimize sums in order
-            summed += np.einsum("i,tij->tj", mass[rows], dist)
-    costs = summed if costs is None else costs[slates]
+        if costs is None:
+            summed += _location_sum(mass[rows], dist.reshape(len(dist), -1))
+    costs = summed.reshape(count, n) if costs is None else costs[slates]
     totals = totals.reshape(count, n)
     return totals, costs, totals.argmax(axis=1), costs.argmin(axis=1)
+
+
+def _location_sum(mass, dist):
+    """Column sums of mass[i] * dist[i, j], each over the rows in order (no
+    BLAS; einsum would unroll the sum of a lone column, cumsum does not)."""
+    if dist.shape[1] == 1:
+        return np.cumsum(mass * dist[:, 0])[-1:]
+    return np.einsum("i,ij->j", mass, dist)
+
+
+def _derived_costs(space: MetricSpace, locations) -> np.ndarray:
+    """Float social costs of ``locations`` on a derived-distance space, as
+    one-candidate elections sum them; at most ``_DERIVED_MEDIAN_CAP``."""
+    slates = np.asarray(locations, dtype=np.int64)[:, None]
+    if slates.size > _DERIVED_MEDIAN_CAP:
+        raise ValueError(f"derived-distance costs are capped at {_DERIVED_MEDIAN_CAP} locations")
+    step = _batch_step(space.npoints, 1)
+    costs = [_elect(space.dist_block, space.mass, None, np.ones(1), slates[lo : lo + step])[1]
+             for lo in range(0, len(slates), step)]
+    return np.concatenate(costs)[:, 0]
 
 
 def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> ElectionOutcome:

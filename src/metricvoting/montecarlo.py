@@ -18,17 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import elections
 from ._hash import trial_uniforms
-from .elections import INFINITE, _distortion, _elect, _kernel_space
+from .elections import INFINITE, _batch_step, _derived_costs, _distortion, _elect, _kernel_space
 from .scoring import RuleFamily
-from .spaces import MetricSpace, _scaled_integers, one_median, social_cost
+from .spaces import MetricSpace, _scaled_integers, one_median
 
 _ENUMERATION_CAP = 1_000_000
-#: trials per batch times locations times candidates: batches of trials are
-#: drawn and elected together up to this many elements, so the temporaries
-#: stay cache-sized; it changes no output bit
-_BATCH_ELEMENTS = 1 << 15
 
 
 def _slates(space: MetricSpace, n: int, seed: int, start: int, count: int) -> np.ndarray:
@@ -95,14 +90,6 @@ def _summarize(distortions, winner_distances, knots, trial_start) -> Estimate:
         distortions=distortions,
         winner_distances=winner_distances,
     )
-
-
-def _batch_step(npoints, n):
-    """Slates per batch: ``_BATCH_ELEMENTS`` (slate, location, candidate)
-    elements, or one slate on spaces of more than ``elections._SUB_ROWS``."""
-    if npoints > elections._SUB_ROWS:
-        return 1
-    return max(1, _BATCH_ELEMENTS // (npoints * n))
 
 
 def _slate_batches(space, n, seed, start, count):
@@ -193,8 +180,8 @@ def exact_expected_distortion(space: MetricSpace, family: RuleFamily, n: int):
     if npts**n > _ENUMERATION_CAP:
         raise ValueError(f"P^n = {npts**n} exceeds enumeration cap {_ENUMERATION_CAP}")
     dist_block, mass, cost = _kernel_space(space, space.exact)
-    if cost is None:  # derived distances: one social cost per location
-        cost = np.array([social_cost(space, i) for i in range(npts)])
+    if cost is None:  # derived distances
+        cost = _derived_costs(space, range(npts))
     vector = family.score_vector(n)
     scores = _scaled_integers(vector.scores)[0] if space.exact else vector.float_scores
     # a slate's distortion depends only on the costs of its winner's and its
@@ -270,11 +257,8 @@ def sufficiency_probe(
 ) -> SufficiencyCheck:
     """Record tail events E_r and winner escapes over a grid of radii."""
     z = checked_probe_z(z)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    dist_from_o = space.distances_from(one_median(space))
-    _, wdist = _trial_batch(space, family.score_vector(n), seed, dist_from_o, 0, trials)
-    return _probe_counts(space, n, seed, z, wdist)
+    est = estimate_distortion(space, family, n, trials, seed)
+    return _probe_counts(space, n, seed, z, est.winner_distances)
 
 
 def _probe_counts(space: MetricSpace, n: int, seed: int, z: float, winner_distances) -> SufficiencyCheck:

@@ -318,27 +318,16 @@ def social_cost(space: MetricSpace, location: int):
         return Fraction(space.scaled_costs[location], mass_scale * scale)
     if space.matrix is not None:
         return float(space.costs[location])
-    return float(np.einsum("i,i->", space.mass, space.distances_from(location)))
-
-
-# exhaustive 1-median on derived-distance spaces is O(P^2) block evaluations;
-# refuse above this rather than silently grinding
-_DERIVED_MEDIAN_CAP = 4096
+    from .elections import _derived_costs  # elections imports this module
+    return float(_derived_costs(space, [location])[0])
 
 
 def one_median(space: MetricSpace) -> int:
     """Index minimizing social cost; ties broken by lowest index."""
-    if space.npoints == 0:
-        raise ValueError("empty space has no 1-median")
-    if space.matrix is not None:
-        # exact spaces compare their costs scaled to integers
-        return int(np.argmin(space.scaled_costs if space.exact else space.costs))
-    if space.npoints > _DERIVED_MEDIAN_CAP:
-        raise ValueError(
-            f"exhaustive 1-median on a derived-distance space is capped at "
-            f"P={_DERIVED_MEDIAN_CAP} (got {space.npoints})"
-        )
-    return int(np.argmin([social_cost(space, i) for i in range(space.npoints)]))
+    if space.matrix is None:
+        from .elections import _derived_costs
+        return int(np.argmin(_derived_costs(space, range(space.npoints))))
+    return int(np.argmin(space.scaled_costs if space.exact else space.costs))  # exact: scaled ints
 
 
 def outside_mass(space: MetricSpace, center: int, r):

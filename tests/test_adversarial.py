@@ -15,7 +15,7 @@ from metricvoting import (
     solve_parameters,
     validate,
 )
-from metricvoting import adversarial, montecarlo
+from metricvoting import elections
 from metricvoting.elections import rankings
 from metricvoting.montecarlo import sample_candidates
 from metricvoting.scoring import Borda, Plurality, score_vector
@@ -255,7 +255,7 @@ def test_experiment_batch_budget_changes_no_bit(monkeypatch, budget):
     # 288 locations: trials are elected in batches
     kwargs = dict(n_override=12, big_n_override=256, m_atoms=32)
     want = {f: run_experiment(1.25, f, 9, seed=4, **kwargs).records for f in (Plurality(), Borda())}
-    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", budget)
+    monkeypatch.setattr(elections, "_PASS_ELEMENTS", budget)
     for family, records in want.items():
         for jobs in (1, 2):
             assert run_experiment(1.25, family, 9, seed=4, jobs=jobs, **kwargs).records == records
@@ -328,13 +328,3 @@ def test_derived_distance_paths_agree_bit_for_bit(data):
     shuffled = data.draw(st.permutations(rows.tolist()))
     again = space.dist_block(np.array(shuffled)[:, None], cols[None, :])
     assert again.tobytes() == reference[np.array(shuffled) - lo].tobytes()
-
-
-def test_outer_block_is_filled_in_passes(monkeypatch):
-    params = small_params(n=8, big_n=200, m_atoms=16)
-    space = build_instance(params, seed=9).space
-    rows = np.arange(space.npoints)[:, None]
-    cols = np.array([0, 5, 5, 199, 200, 203, 215, 150])[None, :]
-    whole = space.dist_block(rows, cols)
-    monkeypatch.setattr(adversarial, "_PASS_ROWS", 7)
-    assert space.dist_block(rows, cols).tobytes() == whole.tobytes()

@@ -13,6 +13,7 @@ from metricvoting import (
     MetricSpace,
     brute_force_outcome,
     build_instance,
+    one_median,
     oracle_sweep,
     random_space,
     rankings,
@@ -21,7 +22,7 @@ from metricvoting import (
     social_cost,
     solve_parameters,
 )
-from metricvoting import adversarial, elections, montecarlo
+from metricvoting import elections, montecarlo
 from metricvoting.montecarlo import _fan_out
 from metricvoting.scoring import Borda, Plurality, ScoringVector, Veto, normalize, parse_family
 
@@ -80,20 +81,50 @@ def test_batched_kernel_equals_single_elections(data):
     # duplicate candidates and colocated points tie at every location
     slates = data.draw(st.lists(st.lists(st.integers(0, len(coords) - 1), min_size=n, max_size=n),
                                 min_size=1, max_size=6))
-    scores, costs, winners, optima = elections._elect(*elections._kernel_space(space, False),
-                                                       vec.float_scores, np.array(slates))
+    _assert_batch_is_lone_elections(space, vec, np.array(slates))
+
+
+def _assert_batch_is_lone_elections(space, vec, slates):
+    kernel = elections._kernel_space(space, False)
+    scores, costs, winners, optima = elections._elect(*kernel, vec.float_scores, slates)
     for t, slate in enumerate(slates):
         alone = run_election(space, slate, vec, exact=False)
         assert scores[t].tobytes() == np.array(alone.scores).tobytes()
         assert (winners[t], optima[t]) == (alone.winner, alone.optimum)
+        assert costs[t].tobytes() == elections._elect(*kernel, vec.float_scores, slate[None])[1].tobytes()
         assert costs[t][alone.winner].hex() == alone.winner_cost.hex()
         assert costs[t][alone.optimum].hex() == alone.optimum_cost.hex()
         ref = brute_force_outcome(space, slate, vec)
         assert (alone.winner, alone.optimum) == (ref.winner, ref.optimum)
 
 
-@pytest.mark.parametrize("sub_rows", [elections._SUB_ROWS, 7])
-def test_exact_election_beyond_int64_and_float(monkeypatch, sub_rows):
+def _box_3000(derived):
+    # box distances on 3000 points, rounded differently in every order of
+    # summation; the derived copy looks the same matrix up
+    rng = np.random.default_rng(3000)
+    x, y = rng.random((2, 3000))
+    mass = rng.uniform(0.5, 1.5, 3000)
+    space = MetricSpace(mass / mass.sum(), matrix=np.hypot(x[:, None] - x, y[:, None] - y))
+    return _derived_copy(space) if derived else space
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["stored", "derived"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_batched_kernel_equals_single_elections_above_2048_points(monkeypatch, derived, n):
+    space = _box_3000(derived)
+    count = elections._batch_step(space.npoints, n)
+    assert count > 1  # spaces of any size elect a stack of slates per call
+    slates = montecarlo._slates(space, n, 17, 0, count)
+    slates[0, 1:] = slates[0, 0]  # duplicate candidates tie at every location
+    for spec in ("plurality", "borda"):
+        _assert_batch_is_lone_elections(space, score_vector(parse_family(spec), n), slates)
+    # the stack in passes of seven locations
+    monkeypatch.setattr(elections, "_PASS_ELEMENTS", 7 * slates.size)
+    _assert_batch_is_lone_elections(space, score_vector(Borda(), n), slates)
+
+
+@pytest.mark.parametrize("pass_rows", [2048, 7])
+def test_exact_election_beyond_int64_and_float(monkeypatch, pass_rows):
     # 30 points on a line, d = |i - j|, with d(1, 2) raised by 3^-50: scaled
     # by the LCM 3^50 the distances overflow an int64, and in float64 the
     # voter at 1 ties candidates at 0 and 2 that exact arithmetic ranks apart
@@ -102,9 +133,9 @@ def test_exact_election_beyond_int64_and_float(monkeypatch, sub_rows):
     rows[1][2] = rows[2][1] = 1 + tiny
     space = MetricSpace([F(i + 1, 465) for i in range(30)], matrix=rows)
     assert float(rows[1][2]) == rows[1][0]
-    # seven rows per block send 30 points through the per-block buffers
-    monkeypatch.setattr(elections, "_SUB_ROWS", sub_rows)
     slate = [2, 0, 2, 29, 1]
+    # a budget of 7 * n elements ranks 30 points in passes of seven rows
+    monkeypatch.setattr(elections, "_PASS_ELEMENTS", pass_rows * len(slate))
     table = rankings(space, slate)
     for omega in range(30):
         want = sorted(range(len(slate)), key=lambda c: (rows[omega][slate[c]], c))
@@ -175,6 +206,19 @@ def test_duplicate_candidates_get_equal_costs(space):
             slate = slates[0]
             assert optima[0] == brute_force_outcome(source, slate, vec).optimum
             assert run_election(source, slate, vec).optimum == optima[0]
+
+
+@pytest.mark.parametrize("npoints", [20, 300])
+def test_derived_social_costs_are_election_costs(npoints):
+    # a location's social cost on a derived space is its cost in an election
+    # over every location, bit for bit, and the 1-median is its optimum
+    space = _derived_copy(random_space(1, npoints, "uniform-box-L2"))
+    vec = score_vector(Plurality(), npoints)
+    _, costs, _, optima = elections._elect(*elections._kernel_space(space, False),
+                                           vec.float_scores, np.arange(npoints)[None])
+    social = np.array([social_cost(space, loc) for loc in range(npoints)])
+    assert social.tobytes() == costs[0].tobytes()
+    assert one_median(space) == optima[0]
 
 
 def test_rankings_reject_bad_slate(line_space):
@@ -345,13 +389,13 @@ def test_float_kernel_bits_do_not_depend_on_jobs(golden_instance):
     assert [outcome for part in parts for outcome in part] == want
 
 
-@pytest.mark.parametrize("sub_rows", [7, 1000, 4096])
-def test_sub_block_size_changes_no_bit(golden_instance, monkeypatch, sub_rows):
+@pytest.mark.parametrize("pass_rows", [7, 1000, 4096, 1 << 36])
+def test_sub_block_size_changes_no_bit(golden_instance, monkeypatch, pass_rows):
+    # 16 candidates: budgets of 7 * n elements up to 2^40 (whole blocks)
     slate = json.loads(GOLDEN.read_text())["cases"][-1]["slate"]
     want = {f: run_election(golden_instance, slate, score_vector(parse_family(f), 16))
             for f in ("plurality", "borda")}
-    monkeypatch.setattr(elections, "_SUB_ROWS", sub_rows)
-    monkeypatch.setattr(adversarial, "_PASS_ROWS", sub_rows)
+    monkeypatch.setattr(elections, "_PASS_ELEMENTS", pass_rows * 16)
     for f, outcome in want.items():
         assert run_election(golden_instance, slate, score_vector(parse_family(f), 16)) == outcome
 

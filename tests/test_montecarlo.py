@@ -15,7 +15,7 @@ from metricvoting import (
     sample_candidates,
     sufficiency_probe,
 )
-from metricvoting import montecarlo
+from metricvoting import elections, montecarlo
 from metricvoting._hash import trial_uniforms
 from metricvoting.montecarlo import _probe_counts, _summarize
 from metricvoting.scoring import Borda, Plurality, Veto, parse_family
@@ -93,6 +93,14 @@ def test_exact_oracle_on_float_copy_of_dyadic_space():
 def test_exact_oracle_enumeration_guard(two_point_space):
     with pytest.raises(ValueError):
         exact_expected_distortion(two_point_space, Borda(), 25)
+
+
+def test_enumeration_on_a_large_derived_space_is_refused():
+    # n = 1 passes the P^n cap, but every location's cost takes P^2 distances
+    pos = np.arange(5000) / 5000.0
+    space = MetricSpace(np.full(5000, 1 / 5000), block_fn=lambda i, j: np.abs(pos[i] - pos[j]))
+    with pytest.raises(ValueError, match="capped"):
+        exact_expected_distortion(space, Plurality(), 1)
 
 
 def test_merge_equals_single_run(line_space):
@@ -273,7 +281,7 @@ def _batch_runs(space):
 def test_batch_budget_changes_no_bit(monkeypatch, budget):
     space = random_space(6, 20, "uniform-box-L2")
     runs, probe = _batch_runs(space)
-    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", budget)
+    monkeypatch.setattr(elections, "_PASS_ELEMENTS", budget)
     again, again_probe = _batch_runs(space)
     assert again_probe == probe
     for a, b in zip(runs, again):

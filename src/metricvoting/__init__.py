@@ -42,13 +42,10 @@ from .montecarlo import (
     sufficiency_probe,
 )
 from .scoring import (
-    LimitValue,
     RuleFamily,
     ScoringVector,
-    limit_value,
     normalize,
     parse_family,
-    score_vector,
 )
 from .spaces import (
     MetricSpace,

@@ -103,6 +103,8 @@ def cmd_validate(args) -> int:
 
 def cmd_cost(args) -> int:
     space = spaces.load_space(args.space, validate_axioms=not args.no_validate)
+    if args.location is not None and not 0 <= args.location < space.npoints:
+        raise ValueError(f"location {args.location} out of range for P={space.npoints}")
     targets = [args.location] if args.location is not None else range(space.npoints)
     with _output(args.out) as out:
         _header(out, space=args.space, points=space.npoints)
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adversarial)
 
     p = sub.add_parser("oracle", help="cross-check fast election against brute force")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=positive_int, default=1000)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_oracle)
 

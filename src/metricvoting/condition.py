@@ -210,9 +210,9 @@ def classify_by_limit(family: RuleFamily) -> str:
     (the scan must arbitrate), as is a family with no known limit.
     """
     values = [family.limit_value(x) for x in _CLASSIFIER_GRID]
-    if any(not v.defined for v in values):
+    if None in values:
         return INDETERMINATE_LIMIT
-    first = values[0].value
-    if any(v.value != first for v in values):
+    first = values[0]
+    if any(v != first for v in values):
         return CONSTANT_BY_LIMIT
     return INDETERMINATE_LIMIT if first == 1 else SUPER_CONSTANT_BY_LIMIT

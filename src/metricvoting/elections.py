@@ -286,17 +286,19 @@ class OracleResult:
 
 
 _ORACLE_FAMILIES = ("plurality", "veto", "kapproval:2", "borda", "dowdall", "gapproval:1/2")
+_ORACLE_MAX_POINTS = 8
+_ORACLE_MAX_CANDIDATES = 5
 
 
-def oracle_sweep(trials: int, seed: int, max_points: int = 8, max_candidates: int = 5) -> OracleResult:
+def oracle_sweep(trials: int, seed: int) -> OracleResult:
     """Compare run_election against brute_force_outcome on seeded random
     exact instances (winner, optimum, and all scores must match exactly)."""
     matches = 0
     mismatches = []
     for t in range(trials):
         rng = np.random.default_rng([101, seed, t])
-        npts = int(rng.integers(2, max_points + 1))
-        n = int(rng.integers(1, max_candidates + 1))
+        npts = int(rng.integers(2, _ORACLE_MAX_POINTS + 1))
+        n = int(rng.integers(1, _ORACLE_MAX_CANDIDATES + 1))
         space = random_space(int(rng.integers(0, 2**31)), npts, "iid-unit-interval-distances")
         slate = rng.integers(0, npts, size=n).tolist()
         family = parse_family(_ORACLE_FAMILIES[t % len(_ORACLE_FAMILIES)])

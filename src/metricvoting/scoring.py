@@ -47,20 +47,6 @@ class ScoringVector:
         object.__setattr__(self, "float_scores", floats)
 
 
-@dataclass(frozen=True)
-class LimitValue:
-    """Pointwise limit of a rule's scores at quantile x, if defined."""
-
-    value: Optional[Fraction]
-
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
-
-
-UNDEFINED_LIMIT = LimitValue(None)
-
-
 class RuleFamily:
     """A positional voting system: a generator n -> ScoringVector."""
 
@@ -73,7 +59,8 @@ class RuleFamily:
         """Sum of scores at positions 0..m-1 (closed form where possible)."""
         return sum((self.score_at(n, k) for k in range(m)), Fraction(0))
 
-    def limit_value(self, x: Rational) -> LimitValue:
+    def limit_value(self, x: Rational) -> Optional[Fraction]:
+        """The limit rule f(x), or None where it is undefined."""
         raise NotImplementedError
 
     def score_vector(self, n: int) -> ScoringVector:
@@ -100,34 +87,42 @@ def _check_x(x) -> Fraction:
     return x
 
 
-class Plurality(RuleFamily):
+class _Approval(RuleFamily):
+    """Approve the top positions: s(k) = 1 for k < _ones(n), clamped so
+    s(n-1) = 0, and 0 after.  The limit rule is the step f(x) = 1 for
+    x <= _step and 0 past it; f(1) = 0 always, as s(n-1) = 0.  A subclass
+    defines ``_ones(n)`` and, where its step is not at 0, ``_step``."""
+
+    _step = Fraction(0)
+
+    def score_at(self, n, k):
+        return Fraction(1 if k < min(self._ones(n), n - 1) else 0)
+
+    def prefix_sum(self, n, m):
+        return Fraction(min(m, self._ones(n), n - 1))
+
+    def limit_value(self, x):
+        x = _check_x(x)
+        return Fraction(1 if x <= self._step and x < 1 else 0)
+
+
+class Plurality(_Approval):
     spec = "plurality"
 
-    def score_at(self, n, k):
-        return Fraction(1 if k == 0 else 0)
-
-    def prefix_sum(self, n, m):
-        return Fraction(min(m, 1))
-
-    def limit_value(self, x):
-        return LimitValue(Fraction(1 if _check_x(x) == 0 else 0))
+    def _ones(self, n):
+        return 1
 
 
-class Veto(RuleFamily):
+class Veto(_Approval):
     spec = "veto"
+    _step = Fraction(1)
 
-    def score_at(self, n, k):
-        return Fraction(1 if k < n - 1 else 0)
-
-    def prefix_sum(self, n, m):
-        return Fraction(min(m, n - 1))
-
-    def limit_value(self, x):
-        return LimitValue(Fraction(1 if _check_x(x) < 1 else 0))
+    def _ones(self, n):
+        return n - 1
 
 
-class KApproval(RuleFamily):
-    """Approve a fixed number k of candidates (clamped so s(n-1) stays 0)."""
+class KApproval(_Approval):
+    """Approve a fixed number k of candidates."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -135,41 +130,23 @@ class KApproval(RuleFamily):
         self.k = k
         self.spec = f"kapproval:{k}"
 
-    def _ones(self, n) -> int:
-        return min(self.k, n - 1)
-
-    def score_at(self, n, k):
-        return Fraction(1 if k < self._ones(n) else 0)
-
-    def prefix_sum(self, n, m):
-        return Fraction(min(m, self._ones(n)))
-
-    def limit_value(self, x):
-        return LimitValue(Fraction(1 if _check_x(x) == 0 else 0))
+    def _ones(self, n):
+        return self.k
 
 
-class GammaApproval(RuleFamily):
-    """Approve a constant fraction gamma of the candidates."""
+class GammaApproval(_Approval):
+    """Approve a constant fraction gamma of the candidates: positions
+    k <= floor(gamma * n)."""
 
     def __init__(self, gamma: Rational):
         gamma = Fraction(gamma)
         if not 0 < gamma < 1:
             raise ValueError("gapproval needs gamma in (0, 1)")
-        self.gamma = gamma
+        self.gamma = self._step = gamma
         self.spec = f"gapproval:{gamma.numerator}/{gamma.denominator}"
 
-    def _ones(self, n) -> int:
-        # positions k <= floor(gamma * n) score 1, clamped so s(n-1) = 0
-        return min(int(self.gamma * n) + 1, n - 1)
-
-    def score_at(self, n, k):
-        return Fraction(1 if k < self._ones(n) else 0)
-
-    def prefix_sum(self, n, m):
-        return Fraction(min(m, self._ones(n)))
-
-    def limit_value(self, x):
-        return LimitValue(Fraction(1 if _check_x(x) <= self.gamma else 0))
+    def _ones(self, n):
+        return int(self.gamma * n) + 1
 
 
 class Borda(RuleFamily):
@@ -183,7 +160,7 @@ class Borda(RuleFamily):
         return Fraction(m * (2 * (n - 1) - (m - 1)), 2 * (n - 1))
 
     def limit_value(self, x):
-        return LimitValue(1 - _check_x(x))
+        return 1 - _check_x(x)
 
 
 _HARMONIC = [Fraction(0)]
@@ -208,7 +185,7 @@ class Dowdall(RuleFamily):
         return (n * _harmonic(m) - m) / (n - 1)
 
     def limit_value(self, x):
-        return LimitValue(Fraction(1 if _check_x(x) == 0 else 0))
+        return Fraction(1 if _check_x(x) == 0 else 0)
 
 
 class TableFamily(RuleFamily):
@@ -252,14 +229,9 @@ class TableFamily(RuleFamily):
             self._cache[n] = normalize(self.rows[n])
         return self._cache[n]
 
-    def score_vector(self, n):
-        if n == 1:
-            return ScoringVector(1, (Fraction(1),))
-        return self._vector(n)
-
     def limit_value(self, x):
         _check_x(x)
-        return UNDEFINED_LIMIT
+        return None
 
 
 def parse_family(spec: str) -> RuleFamily:
@@ -285,14 +257,6 @@ def parse_family(spec: str) -> RuleFamily:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad family spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown family {spec!r}")
-
-
-def score_vector(family: RuleFamily, n: int) -> ScoringVector:
-    return family.score_vector(n)
-
-
-def limit_value(family: RuleFamily, x: Rational) -> LimitValue:
-    return family.limit_value(x)
 
 
 def normalize(raw: Sequence) -> ScoringVector:

@@ -216,12 +216,11 @@ def validate(
     space: MetricSpace,
     triple_cap: int = DEFAULT_TRIPLE_CAP,
     triangle_samples: int = DEFAULT_TRIANGLE_SAMPLES,
-    seed: int = 0,
 ) -> ValidationReport:
     """Check the metric axioms and mass normalization; report, never raise.
 
     All triples are checked when the space stores a matrix and has at most
-    ``triple_cap`` points; otherwise a seeded sample of ``triangle_samples``
+    ``triple_cap`` points; otherwise a fixed-seed sample of ``triangle_samples``
     triples is drawn.  Exact spaces are checked in exact arithmetic, over
     their distances scaled to integers (``MetricSpace.scaled``).
     """
@@ -268,13 +267,13 @@ def validate(
         else:
             exhaustive = False
             checked = triangle_samples
-            violations.extend(_sampled_triangle(space, triangle_samples, seed))
+            violations.extend(_sampled_triangle(space, triangle_samples))
     else:
         diag_idx = np.arange(min(npts, 1 << 21))
         bad_diag = np.nonzero(space.dist_block(diag_idx, diag_idx) != 0.0)[0]
         for i in bad_diag[:16]:
             violations.append(Violation("diagonal", (int(i),), float(space.distance(int(i), int(i)))))
-        rng = np.random.default_rng([seed, npts, 7])
+        rng = np.random.default_rng([0, npts, 7])
         a = rng.integers(0, npts, size=min(triangle_samples, 1 << 20))
         b = rng.integers(0, npts, size=a.size)
         dab, dba = space.dist_block(a, b), space.dist_block(b, a)
@@ -284,13 +283,13 @@ def validate(
             violations.append(Violation("negative-distance", (int(a[idx]), int(b[idx])), float(dab[idx])))
         exhaustive = False
         checked = triangle_samples
-        violations.extend(_sampled_triangle(space, triangle_samples, seed))
+        violations.extend(_sampled_triangle(space, triangle_samples))
 
     return ValidationReport(tuple(violations), checked, exhaustive)
 
 
-def _sampled_triangle(space: MetricSpace, samples: int, seed: int):
-    rng = np.random.default_rng([seed, space.npoints, 13])
+def _sampled_triangle(space: MetricSpace, samples: int):
+    rng = np.random.default_rng([0, space.npoints, 13])
     out = []
     remaining = samples
     while remaining > 0:
@@ -407,7 +406,7 @@ def _coords_matrix(coords, metric: str, line: int):
     return diff.sum(axis=2) if metric == "L1" else diff.max(axis=2)
 
 
-def load_space(path, validate_axioms: bool = True, triple_cap: int = DEFAULT_TRIPLE_CAP) -> MetricSpace:
+def load_space(path, validate_axioms: bool = True) -> MetricSpace:
     """Parse a space file; reject axiom violations unless ``validate_axioms=False``."""
     with open(path) as fh:
         raw_lines = fh.readlines()
@@ -493,7 +492,7 @@ def load_space(path, validate_axioms: bool = True, triple_cap: int = DEFAULT_TRI
 
     space = MetricSpace(masses, matrix=matrix, label=label)
     if validate_axioms:
-        report = validate(space, triple_cap=triple_cap)
+        report = validate(space)
         if not report.ok:
             raise SpaceValidationError(report)
     return space

@@ -18,7 +18,7 @@ from metricvoting import (
 from metricvoting import elections
 from metricvoting.elections import rankings
 from metricvoting.montecarlo import sample_candidates
-from metricvoting.scoring import Borda, Plurality, score_vector
+from metricvoting.scoring import Borda, Plurality
 
 
 def small_params(n=12, big_n=256, m_atoms=32, rho=1.25):
@@ -196,7 +196,7 @@ def test_generic_and_bruteforce_agree_on_derived_space():
     params = small_params(n=6, big_n=48, m_atoms=8)
     inst = build_instance(params, seed=13)
     slate = sample_candidates(inst.space, 6, seed=13, trial_index=0)
-    vec = score_vector(Plurality(), 6)
+    vec = Plurality().score_vector(6)
     fast = run_election(inst.space, slate, vec)
     naive = brute_force_outcome(inst.space, slate, vec)
     assert fast.winner == naive.winner
@@ -243,7 +243,7 @@ def test_experiment_costs_do_not_depend_on_jobs():
     serial = run_experiment(1.25, Borda(), 8, seed=3, jobs=1, **kwargs)
     parallel = run_experiment(1.25, Borda(), 8, seed=3, jobs=2, **kwargs)
     assert serial.records == parallel.records
-    space, vec = build_instance(serial.params, 3).space, score_vector(Borda(), 12)
+    space, vec = build_instance(serial.params, 3).space, Borda().score_vector(12)
     for rec in serial.records:  # a lone election is its trial, bit for bit
         lone = run_election(space, sample_candidates(space, 12, 3, rec.trial), vec)
         assert lone.distortion == rec.distortion

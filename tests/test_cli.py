@@ -116,6 +116,13 @@ def test_oracle_command():
     assert "40/40 oracle matches" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_oracle_trials_below_one_is_input_error(capsys, trials):
+    code, out = run_cli("oracle", "--trials", trials, "--seed", "1")
+    assert code == 2 and out == ""
+    assert "--trials: must be a positive integer" in capsys.readouterr().err
+
+
 def test_validate_ok_and_violation(tmp_path, line_file):
     code, out = run_cli("validate", "--space", line_file)
     assert code == 0 and "ok=True" in out
@@ -131,6 +138,13 @@ def test_cost_command(line_file):
     assert code == 0
     assert "0,0.9" in out
     assert "one_median=0" in out
+
+
+@pytest.mark.parametrize("location", ["9", "-1"])
+def test_cost_location_out_of_range_fails_before_any_output(capsys, line_file, location):
+    code, out = run_cli("cost", "--space", line_file, "--location", location)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: location {location} out of range for P=3\n"
 
 
 def test_election_with_slate_and_rankings(line_file):

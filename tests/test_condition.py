@@ -16,7 +16,6 @@ from metricvoting.scoring import (
     Plurality,
     TableFamily,
     Veto,
-    score_vector,
 )
 
 ALL_FAMILIES = [
@@ -30,31 +29,31 @@ ALL_FAMILIES = [
 
 
 def test_borda_spot_values():
-    lhs, rhs = condition_sides(score_vector(Borda(), 11), F(9, 10))
+    lhs, rhs = condition_sides(Borda().score_vector(11), F(9, 10))
     assert (lhs, rhs) == (F(81, 20), F(27, 50))
     assert lhs > rhs
-    lhs, rhs = condition_sides(score_vector(Borda(), 11), F(1, 2))
+    lhs, rhs = condition_sides(Borda().score_vector(11), F(1, 2))
     assert (lhs, rhs) == (F(3, 4), F(2))
     assert not lhs > rhs
 
 
 def test_plurality_tie_fails_by_strictness():
-    lhs, rhs = condition_sides(score_vector(Plurality(), 11), F(9, 10))
+    lhs, rhs = condition_sides(Plurality().score_vector(11), F(9, 10))
     assert lhs == rhs == F(9, 10)
 
 
 def test_veto_lhs_zero():
-    lhs, rhs = condition_sides(score_vector(Veto(), 11), F(9, 10))
+    lhs, rhs = condition_sides(Veto().score_vector(11), F(9, 10))
     assert lhs == 0 and rhs == F(1, 10)
 
 
 def test_sides_are_exact_rationals():
-    lhs, rhs = condition_sides(score_vector(Dowdall(), 40), F(7, 8))
+    lhs, rhs = condition_sides(Dowdall().score_vector(40), F(7, 8))
     assert isinstance(lhs, F) and isinstance(rhs, F)
 
 
 def test_condition_rejects_bad_y():
-    vec = score_vector(Borda(), 8)
+    vec = Borda().score_vector(8)
     for y in (0, 1, F(3, 2), -1):
         with pytest.raises(ValueError):
             condition_sides(vec, y)
@@ -63,7 +62,7 @@ def test_condition_rejects_bad_y():
 def test_shifted_m0_reduces_to_condition_with_doubled_rhs():
     for fam in ALL_FAMILIES:
         for n in (8, 21, 64):
-            vec = score_vector(fam, n)
+            vec = fam.score_vector(n)
             for z in (F(2, 3), F(9, 10)):
                 l5, r5 = condition_sides(vec, z)
                 l6, r6 = shifted_sides(vec, z, 0)
@@ -71,25 +70,25 @@ def test_shifted_m0_reduces_to_condition_with_doubled_rhs():
 
 
 def test_shifted_borda_worked_case():
-    lhs, rhs = shifted_sides(score_vector(Borda(), 101), F(19, 20), 2)
+    lhs, rhs = shifted_sides(Borda().score_vector(101), F(19, 20), 2)
     assert lhs > rhs
 
 
 def test_shifted_veto_constant_prefix():
-    vec = score_vector(Veto(), 101)
+    vec = Veto().score_vector(101)
     lhs, _ = shifted_sides(vec, F(9, 10), 2)  # m + Z < n-1 keeps the prefix flat
     assert lhs == 0
 
 
 def test_shifted_offset_overflow():
     with pytest.raises(ValueError):
-        shifted_sides(score_vector(Borda(), 20), F(9, 10), 3)
+        shifted_sides(Borda().score_vector(20), F(9, 10), 3)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
 def test_family_fast_paths_match_generic(family):
     for n in (2, 3, 5, 9, 17, 33, 65, 128):
-        vec = score_vector(family, n)
+        vec = family.score_vector(n)
         for y in DEFAULT_Y_GRID:
             assert condition_sides_family(family, n, y) == condition_sides(vec, y)
         for z in (F(2, 3), F(5, 6), F(19, 20)):
@@ -142,7 +141,7 @@ def test_scan_verdicts_small_horizon():
 def test_scan_cells_match_generic():
     report = scan(Borda(), y_grid=[F(1, 2), F(9, 10)], n_min=4, n_max=40)
     for cell in report.cells:
-        assert (cell.lhs, cell.rhs) == condition_sides(score_vector(Borda(), cell.n), cell.y)
+        assert (cell.lhs, cell.rhs) == condition_sides(Borda().score_vector(cell.n), cell.y)
 
 
 def test_scan_verdict_is_horizon_relative():

@@ -18,7 +18,6 @@ from metricvoting import (
     random_space,
     rankings,
     run_election,
-    score_vector,
     social_cost,
     solve_parameters,
 )
@@ -117,10 +116,10 @@ def test_batched_kernel_equals_single_elections_above_2048_points(monkeypatch, d
     slates = montecarlo._slates(space, n, 17, 0, count)
     slates[0, 1:] = slates[0, 0]  # duplicate candidates tie at every location
     for spec in ("plurality", "borda"):
-        _assert_batch_is_lone_elections(space, score_vector(parse_family(spec), n), slates)
+        _assert_batch_is_lone_elections(space, parse_family(spec).score_vector(n), slates)
     # the stack in passes of seven locations
     monkeypatch.setattr(elections, "_PASS_ELEMENTS", 7 * slates.size)
-    _assert_batch_is_lone_elections(space, score_vector(Borda(), n), slates)
+    _assert_batch_is_lone_elections(space, Borda().score_vector(n), slates)
 
 
 @pytest.mark.parametrize("pass_rows", [2048, 7])
@@ -142,7 +141,7 @@ def test_exact_election_beyond_int64_and_float(monkeypatch, pass_rows):
         assert table[omega].tolist() == want
     assert table[1].tolist() == [4, 1, 0, 2, 3]
     for spec in ("plurality", "borda", "dowdall", "kapproval:2"):
-        vec = score_vector(parse_family(spec), len(slate))
+        vec = parse_family(spec).score_vector(len(slate))
         assert run_election(space, slate, vec) == brute_force_outcome(space, slate, vec)
 
 
@@ -164,7 +163,7 @@ def test_exact_election_equals_brute_force(data):
                         matrix=[[F(abs(a - b), denominator) for b in coords] for a in coords])
     n = data.draw(st.integers(1, 7))
     slate = data.draw(st.lists(st.integers(0, npts - 1), min_size=n, max_size=n))
-    vec = score_vector(parse_family(data.draw(st.sampled_from(_SIX_FAMILIES))), n)
+    vec = parse_family(data.draw(st.sampled_from(_SIX_FAMILIES))).score_vector(n)
     fast = run_election(space, slate, vec)
     naive = brute_force_outcome(space, slate, vec)
     assert fast.scores == naive.scores
@@ -187,14 +186,14 @@ def test_duplicate_candidates_get_equal_costs(space):
     # on a stored space every cost is its location's sum in location order,
     # bit for bit what brute_force_outcome and social_cost sum
     floated = MetricSpace(space.mass, matrix=space.matrix)  # the float copy the kernel elects
-    lone = score_vector(Borda(), 1)
+    lone = Borda().score_vector(1)
     by_location = np.array([brute_force_outcome(floated, [loc], lone).winner_cost
                             for loc in range(space.npoints)])
     assert by_location.tobytes() == np.array([social_cost(floated, loc)
                                               for loc in range(space.npoints)]).tobytes()
     for source in (space, _derived_copy(space)):
         for n in range(1, 71):
-            vec = score_vector(Borda(), n)
+            vec = Borda().score_vector(n)
             slates = montecarlo._slates(source, n, n, 0, 4)
             _, costs, _, optima = elections._elect(*elections._kernel_space(source, False),
                                                    vec.float_scores, slates)
@@ -213,7 +212,7 @@ def test_derived_social_costs_are_election_costs(npoints):
     # a location's social cost on a derived space is its cost in an election
     # over every location, bit for bit, and the 1-median is its optimum
     space = _derived_copy(random_space(1, npoints, "uniform-box-L2"))
-    vec = score_vector(Plurality(), npoints)
+    vec = Plurality().score_vector(npoints)
     _, costs, _, optima = elections._elect(*elections._kernel_space(space, False),
                                            vec.float_scores, np.arange(npoints)[None])
     social = np.array([social_cost(space, loc) for loc in range(npoints)])
@@ -227,7 +226,7 @@ def test_rankings_reject_bad_slate(line_space):
 
 
 def test_run_election_worked_example(line_space):
-    out = run_election(line_space, [0, 1, 2], score_vector(Borda(), 3))
+    out = run_election(line_space, [0, 1, 2], Borda().score_vector(3))
     assert out.scores == (F(13, 20), F(13, 20), F(1, 5))
     assert out.winner == 0  # score tie with candidate 1, lowest index wins
     assert out.optimum == 0
@@ -237,7 +236,7 @@ def test_run_election_worked_example(line_space):
 
 
 def test_run_election_matches_brute_force_on_worked_example(line_space):
-    vec = score_vector(Borda(), 3)
+    vec = Borda().score_vector(3)
     fast = run_election(line_space, [0, 1, 2], vec)
     naive = brute_force_outcome(line_space, [0, 1, 2], vec)
     assert fast.scores == naive.scores
@@ -246,27 +245,27 @@ def test_run_election_matches_brute_force_on_worked_example(line_space):
 
 
 def test_single_candidate_distortion_one(line_space):
-    out = run_election(line_space, [2], score_vector(Borda(), 1))
+    out = run_election(line_space, [2], Borda().score_vector(1))
     assert out.distortion == 1 and out.winner == 0
 
 
 def test_colocated_slate_distortion_one(line_space):
-    out = run_election(line_space, [1, 1, 1], score_vector(Plurality(), 3))
+    out = run_election(line_space, [1, 1, 1], Plurality().score_vector(3))
     assert out.distortion == 1
 
 
 def test_vector_length_mismatch(line_space):
     with pytest.raises(ValueError):
-        run_election(line_space, [0, 1], score_vector(Borda(), 3))
+        run_election(line_space, [0, 1], Borda().score_vector(3))
 
 
 def test_zero_cost_policies():
     space = MetricSpace([F(1), F(0)], matrix=[[0, 1], [1, 0]])
     # winner and optimum both at the all-mass point: distortion 1
-    out = run_election(space, [0, 1], score_vector(Plurality(), 2))
+    out = run_election(space, [0, 1], Plurality().score_vector(2))
     assert out.distortion == 1 and not out.infinite
     # veto hands the win to a colocated pair away from the mass: infinite
-    out = run_election(space, [1, 1, 0], score_vector(Veto(), 3))
+    out = run_election(space, [1, 1, 0], Veto().score_vector(3))
     assert out.winner == 0 and out.optimum == 2
     assert out.infinite and out.distortion == math.inf
 
@@ -296,7 +295,7 @@ def test_permutation_equivariance():
     for seed in range(6):
         space = random_space(100 + seed, 7, "iid-unit-interval-distances")
         slate = [0, 2, 4, 6]
-        vec = score_vector(Borda(), 4)
+        vec = Borda().score_vector(4)
         base = run_election(space, slate, vec)
         if len(set(base.scores)) < len(base.scores):
             continue  # equivariance of the winner is only asserted tie-free
@@ -313,7 +312,7 @@ def test_float_and_exact_paths_agree_on_dyadic_space():
         [F(1, 2), F(1, 4), F(1, 4)],
         matrix=[[0, F(1, 2), 1], [F(1, 2), 0, F(3, 4)], [1, F(3, 4), 0]],
     )
-    vec = score_vector(Borda(), 3)
+    vec = Borda().score_vector(3)
     exact = run_election(space, [0, 1, 2], vec)
     floated = run_election(space, [0, 1, 2], vec, exact=False)
     assert floated.winner == exact.winner
@@ -332,7 +331,7 @@ def test_distortion_at_least_one_and_scores_in_unit_range():
         space = random_space(seed, 6, "uniform-box-L2")
         slate = rng.integers(0, 6, size=4).tolist()
         fam = parse_family(["plurality", "veto", "borda", "dowdall"][seed % 4])
-        out = run_election(space, slate, score_vector(fam, 4))
+        out = run_election(space, slate, fam.score_vector(4))
         assert out.distortion >= 1
         assert all(0 <= s <= 1 for s in out.scores)  # mass-weighted unit scores
 
@@ -366,7 +365,7 @@ def test_float_kernel_matches_recorded_bits(golden_instance):
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert golden_instance.npoints > elections._CHUNK_ROWS
     for case in cases:
-        vec = score_vector(parse_family(case["family"]), len(case["slate"]))
+        vec = parse_family(case["family"]).score_vector(len(case["slate"]))
         got = _hexed(run_election(golden_instance, case["slate"], vec))
         want = (case["scores"], case["winner"], case["optimum"],
                 case["winner_cost"], case["optimum_cost"])
@@ -374,7 +373,7 @@ def test_float_kernel_matches_recorded_bits(golden_instance):
 
 
 def _golden_part(space, cases, start, count):
-    return [_hexed(run_election(space, c["slate"], score_vector(parse_family(c["family"]), 16)))
+    return [_hexed(run_election(space, c["slate"], parse_family(c["family"]).score_vector(16)))
             for c in cases[start:start + count]]
 
 
@@ -393,11 +392,11 @@ def test_float_kernel_bits_do_not_depend_on_jobs(golden_instance):
 def test_sub_block_size_changes_no_bit(golden_instance, monkeypatch, pass_rows):
     # 16 candidates: budgets of 7 * n elements up to 2^40 (whole blocks)
     slate = json.loads(GOLDEN.read_text())["cases"][-1]["slate"]
-    want = {f: run_election(golden_instance, slate, score_vector(parse_family(f), 16))
+    want = {f: run_election(golden_instance, slate, parse_family(f).score_vector(16))
             for f in ("plurality", "borda")}
     monkeypatch.setattr(elections, "_PASS_ELEMENTS", pass_rows * 16)
     for f, outcome in want.items():
-        assert run_election(golden_instance, slate, score_vector(parse_family(f), 16)) == outcome
+        assert run_election(golden_instance, slate, parse_family(f).score_vector(16)) == outcome
 
 
 def _dyadic_line(npoints, derived):
@@ -436,7 +435,7 @@ def test_top_choice_path_equals_brute_force(monkeypatch, npoints, derived):
     ]
     outcomes = []
     for slate in slates:
-        vec = score_vector(Plurality(), len(slate))
+        vec = Plurality().score_vector(len(slate))
         outcomes.append(run_election(space, slate, vec))
         assert outcomes[-1] == brute_force_outcome(space, slate, vec)
     # candidates sharing a site split nothing: the lowest index takes it all

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricvoting import limit_value, normalize, parse_family, score_vector
+from metricvoting import normalize, parse_family
 from metricvoting.scoring import (
     Borda,
     Dowdall,
@@ -28,28 +28,34 @@ ALL_FAMILIES = [
 
 
 def test_borda_vector():
-    assert score_vector(Borda(), 5).scores == (1, F(3, 4), F(1, 2), F(1, 4), 0)
+    assert Borda().score_vector(5).scores == (1, F(3, 4), F(1, 2), F(1, 4), 0)
 
 
 def test_dowdall_vector():
-    assert score_vector(Dowdall(), 4).scores == (1, F(1, 3), F(1, 9), 0)
+    assert Dowdall().score_vector(4).scores == (1, F(1, 3), F(1, 9), 0)
 
 
 def test_plurality_veto_vectors():
-    assert score_vector(Plurality(), 3).scores == (1, 0, 0)
-    assert score_vector(Veto(), 3).scores == (1, 1, 0)
+    assert Plurality().score_vector(3).scores == (1, 0, 0)
+    assert Veto().score_vector(3).scores == (1, 1, 0)
 
 
 def test_gamma_approval_floor():
     # ones at positions k <= floor(n/2)
-    assert score_vector(GammaApproval(F(1, 2)), 5).scores == (1, 1, 1, 0, 0)
-    assert score_vector(GammaApproval(F(1, 4)), 8).scores == (1, 1, 1, 0, 0, 0, 0, 0)
+    assert GammaApproval(F(1, 2)).score_vector(5).scores == (1, 1, 1, 0, 0)
+    assert GammaApproval(F(1, 4)).score_vector(8).scores == (1, 1, 1, 0, 0, 0, 0, 0)
 
 
 def test_kapproval_clamps_when_k_large():
     # k >= n degenerates to approving everyone; the last slot must stay 0
-    assert score_vector(KApproval(7), 4).scores == (1, 1, 1, 0)
-    assert score_vector(KApproval(2), 6).scores == (1, 1, 0, 0, 0, 0)
+    assert KApproval(7).score_vector(4).scores == (1, 1, 1, 0)
+    assert KApproval(2).score_vector(6).scores == (1, 1, 0, 0, 0, 0)
+    # one approval rule: k = 1 is Plurality's vector, k >= n - 1 is Veto's
+    for n in range(2, 65):
+        assert KApproval(1).score_vector(n) == Plurality().score_vector(n)
+        for k in (n - 1, n, 2 * n):
+            assert KApproval(k).score_vector(n) == Veto().score_vector(n)
+    assert KApproval(1) != Plurality()  # the specs differ
 
 
 def test_vector_invariants_reject_bad():
@@ -66,7 +72,7 @@ def test_vector_invariants_reject_bad():
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
 def test_definition_invariants_sweep(family):
     for n in range(2, 513):
-        vec = score_vector(family, n)  # constructor enforces the invariants
+        vec = family.score_vector(n)  # constructor enforces the invariants
         assert vec.n == n
 
 
@@ -106,16 +112,22 @@ def test_normalize_kills_affine_transforms(raw, scale, shift):
 
 
 def test_limit_values():
-    assert limit_value(Borda(), F(1, 4)).value == F(3, 4)
-    assert limit_value(Dowdall(), F(1, 2)).value == 0
-    assert limit_value(Veto(), F(999, 1000)).value == 1
-    assert limit_value(Veto(), 1).value == 0
-    assert limit_value(Plurality(), 0).value == 1
-    assert limit_value(Plurality(), F(1, 100)).value == 0
+    assert Borda().limit_value(F(1, 4)) == F(3, 4)
+    assert Dowdall().limit_value(F(1, 2)) == 0
+    assert Veto().limit_value(F(999, 1000)) == 1
+    assert Veto().limit_value(1) == 0
+    assert Plurality().limit_value(0) == 1
+    assert Plurality().limit_value(F(1, 100)) == 0
     gamma = GammaApproval(F(1, 2))
-    assert limit_value(gamma, F(1, 2)).value == 1
-    assert limit_value(gamma, F(1, 2) + F(1, 1000)).value == 0
-    assert not TableFamily(rows={3: (2, 1, 0)}).limit_value(F(1, 2)).defined
+    assert gamma.limit_value(F(1, 2)) == 1
+    assert gamma.limit_value(F(1, 2) + F(1, 1000)) == 0
+    assert TableFamily(rows={3: (2, 1, 0)}).limit_value(F(1, 2)) is None
+    # each approval rule is one step: 1 at x = 0 and at its step, 0 just
+    # past it and at x = 1 (Veto's step is 1 itself, so probe just below)
+    for family, step in [(Plurality(), 0), (KApproval(3), 0),
+                         (GammaApproval(F(1, 3)), F(1, 3)), (Veto(), F(999, 1000))]:
+        values = [family.limit_value(x) for x in (0, step, step + F(1, 1000), 1)]
+        assert values == [1, 1, 0, 0] and all(type(v) is F for v in values), family.spec
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
@@ -124,7 +136,7 @@ def test_pointwise_consistency(family):
     eps = F(1, 100)
     grid = [2**k for k in range(1, 17)] + [10**5]
     for x in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)):
-        fx = family.limit_value(x).value
+        fx = family.limit_value(x)
         ok_from = None
         for n in grid:
             lo = family.score_at(n, math.floor(x * (n - 1)))
@@ -140,7 +152,7 @@ def test_pointwise_consistency(family):
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
 def test_prefix_sum_matches_materialized(family):
     for n in (2, 3, 5, 8, 13, 21, 34, 55):
-        vec = score_vector(family, n)
+        vec = family.score_vector(n)
         running = F(0)
         for m in range(n + 1):
             assert family.prefix_sum(n, m) == running

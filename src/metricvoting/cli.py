@@ -43,6 +43,13 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for indices and caps that must be at least 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check metric axioms of a space file")
     p.add_argument("--space", required=True)
-    p.add_argument("--triple-cap", type=int, default=spaces.DEFAULT_TRIPLE_CAP)
+    p.add_argument("--triple-cap", type=nonnegative_int, default=spaces.DEFAULT_TRIPLE_CAP)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("cost", help="social costs and the 1-median")
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--slate", help="comma-separated candidate locations")
     p.add_argument("--n", type=int, help="sample this many candidates instead")
-    p.add_argument("--trial", type=int, default=0, help="trial index for sampling")
+    p.add_argument("--trial", type=nonnegative_int, default=0, help="trial index for sampling")
     p.add_argument("--seed", type=int)
     p.add_argument("--rankings", action="store_true", help="dump per-location rankings")
     p.add_argument("--out")

@@ -7,6 +7,13 @@ optimum, and distortion.  One kernel elects on float64 arrays or, on exact
 spaces, on exact Python ints: masses, distances and scores times the LCMs of
 their denominators, which are divided out into Fractions at the end.
 
+Every ranking is the stable argsort's, bit for bit.  Plurality needs only
+the first-index argmin.  Float rows of 32 to 4096 candidates are ranked by
+one in-place integer sort of packed keys (a distance's bits with the
+candidate index in its low bits, ``_key_rank``); the few rows whose keys
+cannot prove their order, and every exact, narrower or wider row, take the
+stable argsort.
+
 ``brute_force_outcome`` is a deliberately naive second implementation kept
 free of any shared ranking/scoring code; it exists so the fast path can be
 checked against it on thousands of randomized instances.
@@ -32,6 +39,19 @@ _CHUNK_ROWS = 65536
 #: slate and one location), so their temporaries stay in cache; it changes
 #: no output bit (at 2^15 the two-cluster elections ran 5-8% slower)
 _PASS_ELEMENTS = 1 << 17
+#: candidates per slate ranked by packed keys (``_key_rank``); fewer or
+#: more take the stable argsort.  On stored spaces of a few dozen points
+#: nearly every row holds duplicate candidates, whose tied keys must be
+#: checked: per 2^17-element pass on 20 points, keys took 2.2 ms against
+#: the argsort's 1.8 at n = 8, broke even at n = 16, and at
+#: n = 32 to 128 took 0.5-0.7 of its time.  Above 2^12 too many
+#: distance bits would be cleared
+_KEY_MIN_N = 32
+_KEY_MAX_N = 1 << 12
+#: +inf's float64 bits: a row whose largest key reaches them holds +inf, a
+#: NaN (one whose payload sits in the cleared bits keys like +inf) or a
+#: negative distance (sign bit set)
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 #: derived-distance costs summed at once; all P take O(P^2) distances
 _DERIVED_MEDIAN_CAP = 4096
 
@@ -89,12 +109,57 @@ def _checked_slate(space: MetricSpace, slate) -> np.ndarray:
     return slate
 
 
-def _rank(dist: np.ndarray, top_only: bool) -> np.ndarray:
-    # along the last axis, one location row at a time; the first-index
-    # argmin is column 0 of the stable argsort
-    if top_only:
-        return dist.argmin(axis=-1, keepdims=True)
-    return np.argsort(dist, axis=-1, kind="stable")
+def _rank(dist: np.ndarray, order: np.ndarray) -> None:
+    """Fill ``order`` (int64, C-contiguous, the shape of ``dist``) with each
+    row of ``dist`` ranked along the last axis by (distance, candidate
+    index), as the stable argsort ranks it; an ``order`` one column wide
+    gets the top choice alone, the first-index argmin."""
+    if order.shape[-1] == 1:
+        np.argmin(dist, axis=-1, keepdims=True, out=order)
+        return
+    n = dist.shape[-1]
+    dist, order = dist.reshape(-1, n), order.reshape(-1, n)
+    rows = slice(None)
+    if dist.dtype == np.float64 and _KEY_MIN_N <= n <= _KEY_MAX_N:
+        rows = _key_rank(dist, order)
+    order[rows] = np.argsort(dist[rows], axis=-1, kind="stable")
+
+
+def _key_rank(dist: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Rank the rows of a float64 ``dist`` (R, n) into ``order`` by one
+    integer sort of packed keys, and return the rows whose order it cannot
+    vouch for, for the stable argsort to rank.
+
+    A key is a distance's float64 bits as uint64 with the low b bits
+    replaced by the candidate index (2^b >= n), so keys are unique and an
+    unstable sort puts them in one order, with equal distances by index.
+    Non-negative floats (-0.0 made +0.0) sort as their bits do, so that
+    order is the stable argsort's unless two distances differ only in the
+    cleared bits (their keys then sit next to each other with equal high
+    bits) or the row holds a negative distance, a NaN or +inf (its largest
+    key reaches +inf's bits).  Those rows are checked: read in key order,
+    their distances must be non-decreasing, which with the index bits
+    breaking every tie proves the order; the rows that fail are returned.
+    """
+    n = dist.shape[1]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = order.view(np.uint64)
+    np.add(dist, 0.0, out=keys.view(np.float64))
+    keys &= ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    suspect = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    suspect |= keys[:, -1] >= _INF_BITS
+    keys &= low
+    if not suspect.any():  # no duplicate candidate and no near tie
+        return np.zeros(0, np.intp)
+    # distances in key order, read through flat indices that are added to
+    # order and taken out again in place: one temporary of dist's size
+    offsets = np.arange(0, dist.size, n)[:, None]
+    order += offsets
+    ranked = dist.ravel().take(order)
+    order -= offsets
+    return np.flatnonzero(suspect & ~(ranked[:, 1:] >= ranked[:, :-1]).all(axis=1))
 
 
 def _kernel_space(space: MetricSpace, exact: bool):
@@ -135,7 +200,7 @@ def _ranked_blocks(dist_block, mass: np.ndarray, slates: np.ndarray, top_only: b
             hi = min(lo + step, stop)
             sub = dist[lo - start : hi - start]
             sub.reshape(hi - lo, -1)[...] = dist_block(np.arange(lo, hi)[:, None], cols)
-            order[lo - start : hi - start] = _rank(sub, top_only)
+            _rank(sub, order[lo - start : hi - start])
         yield slice(start, stop), dist[: stop - start], order[: stop - start]
 
 

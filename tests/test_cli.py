@@ -279,6 +279,27 @@ def test_jobs_below_one_is_input_error(capsys, command, jobs):
     assert "--jobs: must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # trial -1 would draw the slate of trial 2^64 - 1
+    ("election", "--family", "borda", "--n", "2", "--seed", "1", "--trial", "-1"),
+    # a negative cap would skip the exhaustive scan of a 3-point space
+    ("validate", "--triple-cap", "-1"),
+])
+def test_negative_trial_or_triple_cap_is_input_error(capsys, line_file, argv):
+    code, out = run_cli(argv[0], "--space", line_file, *argv[1:])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{argv[-2]}: must be a non-negative integer" in err
+
+
+def test_zero_trial_and_triple_cap_are_accepted(line_file):
+    code, out = run_cli("election", "--space", line_file, "--family", "borda", "--n", "2",
+                        "--seed", "1", "--trial", "0")
+    assert code == 0 and "trial=0" in out
+    code, out = run_cli("validate", "--space", line_file, "--triple-cap", "0")
+    assert code == 0 and "exhaustive=False" in out
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

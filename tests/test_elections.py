@@ -415,9 +415,9 @@ def _spy_rank(monkeypatch):
     seen = []
     original = elections._rank
 
-    def spy(dist, top_only):
-        seen.append(top_only)
-        return original(dist, top_only)
+    def spy(dist, order):  # records whether only the top choice is ranked
+        seen.append(order.shape[-1] == 1)
+        return original(dist, order)
 
     monkeypatch.setattr(elections, "_rank", spy)
     return seen
@@ -456,3 +456,105 @@ def test_nonzero_tail_vector_keeps_argsort(monkeypatch, npoints, derived):
     assert vec.float_scores[1:].any()
     assert run_election(space, slate, vec) == brute_force_outcome(space, slate, vec)
     assert seen and not any(seen)
+
+
+# packed-key ranking: every order equals the stable argsort
+
+_KEY_CAP = elections._KEY_MAX_N
+_KEY_WIDTHS = [31, 32, 33, 64, 65, _KEY_CAP, _KEY_CAP + 1]
+
+
+def _ranked(dist):
+    order = np.empty(dist.shape, np.int64)
+    elections._rank(dist, order)
+    return order
+
+
+def _cleared_bit_variants(x, count):
+    """``count`` floats equal to x but for their lowest bits, which hold
+    0 .. count - 1: they differ only in bits that every key clears."""
+    bits = np.float64(x).view(np.uint64) & ~np.uint64(_KEY_CAP - 1)
+    return (bits | np.arange(count, dtype=np.uint64)).view(np.float64)
+
+
+def _spy_key_rank(monkeypatch):
+    repaired = []  # rows handed back to the stable argsort, per call
+    original = elections._key_rank
+
+    def spy(dist, order):
+        rows = original(dist, order)
+        repaired.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(elections, "_key_rank", spy)
+    return repaired
+
+
+# each draws a list of pool values
+_TIED = st.one_of(
+    st.integers(0, 16).map(lambda k: [k / 8]),  # dyadic: exact ties between distinct points
+    st.sampled_from([[0.0], [-0.0]]),
+    st.floats(0.25, 4.0).map(lambda x: list(_cleared_bit_variants(x, 8))),
+)
+_ODD = st.sampled_from([[math.nan], [math.inf], [-math.inf], [-1.0], [-0.5]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_key_ranking_equals_stable_argsort(data):
+    n = data.draw(st.sampled_from(_KEY_WIDTHS))
+    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), n)
+    values = st.one_of(_TIED, _ODD) if data.draw(st.booleans()) else _TIED
+    pool = sum(data.draw(st.lists(values, min_size=1, max_size=6)), [])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    # distinct random distances, with a share of them (none, some or
+    # nearly all) drawn from the pool instead: duplicate columns and ties
+    dist = rng.random(shape) + 1.0
+    share = data.draw(st.sampled_from([0.0, 0.1, 0.9]))
+    mask = rng.random(shape) < share
+    dist[mask] = rng.choice(pool, size=int(mask.sum()))
+    if data.draw(st.booleans()):  # a duplicated candidate column
+        dist[..., rng.integers(n)] = dist[..., rng.integers(n)]
+    assert np.array_equal(_ranked(dist), np.argsort(dist, axis=-1, kind="stable"))
+
+
+def test_key_ranking_of_signed_zeros_and_nan_payloads():
+    # -0.0 ties +0.0, so a row of zeros ranks by index; NaNs rank last and
+    # by index whatever their payload bits, which keys would sort by
+    dist = np.random.default_rng(40).random((3, 40))
+    dist[0] = 0.0
+    dist[0, ::2] = -0.0
+    payloads = np.float64(math.nan).view(np.uint64) | np.array([1 << 40, 1, 1 << 20], np.uint64)
+    dist[1:, [3, 9, 30]] = payloads.view(np.float64)
+    dist[2, 5] = math.inf
+    assert np.array_equal(_ranked(dist), np.argsort(dist, axis=-1, kind="stable"))
+
+
+@pytest.mark.parametrize("n", [32, 33, 64, 65, _KEY_CAP])
+def test_key_ranking_repairs_ties_in_cleared_bits(monkeypatch, n):
+    repaired = _spy_key_rank(monkeypatch)
+    variants = _cleared_bit_variants(1.5, n)
+    dist = np.stack([
+        variants[::-1],  # one key bucket, index order against distance order
+        variants,  # one key bucket in distance order: checked, kept
+        np.random.default_rng(n).random(n),  # no shared bucket: not checked
+    ])
+    assert np.array_equal(_ranked(dist), np.argsort(dist, axis=-1, kind="stable"))
+    assert repaired == [1]
+
+
+@pytest.mark.parametrize("n, dtype, keyed", [
+    (31, float, False),
+    (32, float, True),
+    (_KEY_CAP + 1, float, False),
+    (64, object, False),
+])
+def test_only_float_rows_in_the_key_range_take_keys(monkeypatch, n, dtype, keyed):
+    repaired = _spy_key_rank(monkeypatch)
+    ticks = np.random.default_rng(n).integers(0, 5, (3, n))
+    if dtype is object:
+        dist = np.array([[F(int(t), 3) for t in row] for row in ticks], dtype)
+    else:
+        dist = ticks / 4.0
+    assert np.array_equal(_ranked(dist), np.argsort(dist, axis=-1, kind="stable"))
+    assert len(repaired) == int(keyed)

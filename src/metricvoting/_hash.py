@@ -75,15 +75,18 @@ def trial_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     """(count, n) uniforms: row i is ``Generator(Philox(key=k)).random(n)``
     bit for bit, for the uint64 key words k = (seed, start + i).  One bit
     generator is re-keyed per trial by setting its state, which skips the
-    OS-entropy ``SeedSequence`` that ``Philox(key=...)`` builds."""
+    OS-entropy ``SeedSequence`` that ``Philox(key=...)`` builds.  A seed or
+    trial index outside [0, 2^64) is refused, never wrapped."""
+    if not (0 <= seed <= _MASK and 0 <= start and start + count - 1 <= _MASK):
+        raise ValueError(f"seed {seed} and trial indices {start}..{start + count - 1} must lie in [0, 2^64)")
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    key = [seed & _MASK, 0]
+    key = [seed, 0]
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty((count, n))
     for i in range(count):
-        key[1] = (start + i) & _MASK
+        key[1] = start + i
         bitgen.state = state
         gen.random(out=out[i])
     return out

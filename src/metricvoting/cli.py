@@ -50,6 +50,15 @@ def nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def word64(text: str) -> int:
+    """argparse type for seeds and trial indices, the two 64-bit words that
+    key a trial's stream: an integer in [0, 2^64)."""
+    value = nonnegative_int(text)
+    if value >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be below 2^64, got {text!r}")
+    return value
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -285,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--slate", help="comma-separated candidate locations")
     p.add_argument("--n", type=int, help="sample this many candidates instead")
-    p.add_argument("--trial", type=nonnegative_int, default=0, help="trial index for sampling")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trial", type=word64, default=0, help="trial index for sampling")
+    p.add_argument("--seed", type=word64)
     p.add_argument("--rankings", action="store_true", help="dump per-location rankings")
     p.add_argument("--out")
     p.set_defaults(func=cmd_election)
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=word64)
     p.add_argument("--jobs", type=positive_int, default=_default_jobs())
     p.add_argument("--probe-z", type=rational, help="also run the sufficiency probe at this z")
     p.add_argument("--probe-out")
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=word64)
     p.add_argument("--n", type=int, help="candidate count override")
     p.add_argument("--big-n", type=int, help="near-cluster location count override")
     p.add_argument("--m-atoms", type=int, default=512)

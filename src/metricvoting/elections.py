@@ -7,6 +7,11 @@ optimum, and distortion.  One kernel elects on float64 arrays or, on exact
 spaces, on exact Python ints: masses, distances and scores times the LCMs of
 their denominators, which are divided out into Fractions at the end.
 
+The kernel streams the locations through pass-sized buffers: each pass is
+hashed and ranked, and its scores (and a derived space's costs) join its
+summation block's sums in location order; the blocks are then added in
+order, so passes change no output bit and an election holds a few MiB.
+
 Every ranking is the stable argsort's, bit for bit.  Plurality needs only
 the first-index argmin.  Float rows of 32 to 4096 candidates are ranked by
 one in-place integer sort of packed keys (a distance's bits with the
@@ -34,10 +39,10 @@ from .spaces import MetricSpace, _scaled_integers, random_space
 #: fixed summation block: scores and costs are summed over blocks of this
 #: many locations, so no other setting can change the output bits
 _CHUNK_ROWS = 65536
-#: location x slate x candidate elements per pass: a batch of slates and
-#: the locations hashed and ranked together stay within it (at least one
-#: slate and one location), so their temporaries stay in cache; it changes
-#: no output bit (at 2^15 the two-cluster elections ran 5-8% slower)
+#: location x slate x candidate elements per pass and per batch of slates
+#: (at least one location and one slate): it sizes every kernel buffer, so
+#: a pass stays in cache, and changes no output bit (at 2^15 the
+#: two-cluster elections ran 5-8% slower)
 _PASS_ELEMENTS = 1 << 17
 #: candidates per slate ranked by packed keys (``_key_rank``); fewer or
 #: more take the stable argsort.  On stored spaces of a few dozen points
@@ -177,31 +182,27 @@ def _batch_step(npoints, n):
     return max(1, _PASS_ELEMENTS // (npoints * n))
 
 
-def _ranked_blocks(dist_block, mass: np.ndarray, slates: np.ndarray, top_only: bool = False):
-    """Yield (rows, dist, order) over all locations for a (T, n) stack of
-    slates: dist[i, t] holds the distances ``dist_block(i, j)`` from
-    location i to slate t's candidates, in the dtype of ``mass``, and
+def _ranked_passes(dist_block, mass: np.ndarray, slates: np.ndarray, top_only: bool = False):
+    """Yield (rows, dist, order) per pass over all locations for a (T, n)
+    stack of slates: dist[i, t] holds the distances from location
+    rows.start + i to slate t's candidates, in the dtype of ``mass``, and
     order[i, t] ranks them by (distance, candidate index), or is only its
-    first column when ``top_only``.  Blocks are summation blocks of
-    ``_CHUNK_ROWS`` locations, as a slice and (rows, T, .) arrays, views of
-    buffers that the next block overwrites; inside a block, passes of
-    ``_PASS_ELEMENTS`` location x slate x candidate elements (at least one
-    location) are hashed and ranked together."""
+    first column when ``top_only``.  A pass of at most ``_PASS_ELEMENTS``
+    elements (at least one location) never crosses a summation block's
+    end; dist and order are views of buffers the next pass overwrites."""
     npoints = mass.size
     count, n = slates.shape
     cols = slates.reshape(1, -1)
-    step = max(1, _PASS_ELEMENTS // slates.size)
-    size = min(_CHUNK_ROWS, npoints)
-    dist = np.empty((size, count, n), mass.dtype)
-    order = np.empty((size, count, 1 if top_only else n), dtype=np.int64)
+    step = min(max(1, _PASS_ELEMENTS // slates.size), _CHUNK_ROWS, npoints)
+    dist = np.empty((step, count, n), mass.dtype)
+    order = np.empty((step, count, 1 if top_only else n), dtype=np.int64)
     for start in range(0, npoints, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, npoints)
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
-            sub = dist[lo - start : hi - start]
-            sub.reshape(hi - lo, -1)[...] = dist_block(np.arange(lo, hi)[:, None], cols)
-            _rank(sub, order[lo - start : hi - start])
-        yield slice(start, stop), dist[: stop - start], order[: stop - start]
+            dist[: hi - lo].reshape(hi - lo, -1)[...] = dist_block(np.arange(lo, hi)[:, None], cols)
+            _rank(dist[: hi - lo], order[: hi - lo])
+            yield slice(lo, hi), dist[: hi - lo], order[: hi - lo]
 
 
 def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
@@ -210,7 +211,7 @@ def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
     slate = _checked_slate(space, slate)
     table = np.empty((space.npoints, slate.size), dtype=np.int64)
     dist_block, mass, _ = _kernel_space(space, space.exact)
-    for rows, _, order in _ranked_blocks(dist_block, mass, slate[None]):
+    for rows, _, order in _ranked_passes(dist_block, mass, slate[None]):
         table[rows] = order[:, 0]
     return table
 
@@ -253,41 +254,40 @@ def _elect(dist_block, mass, costs, scores, slates):
     and ``scores`` all float64 or all exact Python ints (dtype object):
     scores and costs (T, n), winners and optima (T,).  A candidate's cost is
     its location's entry of ``costs``, or, when that is None (a derived
-    space), its distances summed here by ``_location_sum`` per summation
-    block, then block by block."""
+    space), its distances summed here in the order of its score's terms."""
     count, n = slates.shape
     dtype = mass.dtype
-    totals = np.zeros(count * n, dtype)
-    summed = np.zeros(count * n, dtype)
+    blocks = []  # each summation block's scores and costs, summed from zero
     # a vector that scores only the top choice (plurality) needs column 0 of
     # the ranking alone: the dropped terms are +0.0, so every bit is kept
     width = n if (scores[1:] != 0).any() else 1
-    # slate t's candidates are bins t*n .. t*n + n - 1 of one bincount; the
-    # blocks are laid out (location, slate, candidate), so each bin still
-    # takes its terms in location order, as for a single slate
+    # slate t's candidates are bins t*n .. t*n + n - 1, and a pass is laid
+    # out (location, slate, candidate): each bin sums in location order
     offsets = np.arange(0, count * n, n)[:, None]
-    for rows, dist, order in _ranked_blocks(dist_block, mass, slates, width == 1):
+    for rows, dist, order in _ranked_passes(dist_block, mass, slates, width == 1):
+        if rows.start % _CHUNK_ROWS == 0:
+            blocks.append(np.zeros((2, count * n), dtype))
+        block = blocks[-1]
         if count > 1:  # a lone slate's offset is 0
             order += offsets
         # the same mass * score weights for every slate, laid out like order
         weights = np.multiply(mass[rows][:, None, None], scores[:width], out=np.empty(order.shape, dtype))
-        if dtype == object:  # bincount sums in float64 only
-            np.add.at(totals, order.ravel(), weights.ravel())
-        else:
-            totals += np.bincount(order.ravel(), weights=weights.ravel(), minlength=count * n)
+        np.add.at(block[0], order.ravel(), weights.ravel())
         if costs is None:
-            summed += _location_sum(mass[rows], dist.reshape(len(dist), -1))
-    costs = summed.reshape(count, n) if costs is None else costs[slates]
-    totals = totals.reshape(count, n)
+            block[1] = _location_sum(block[1], mass[rows], dist.reshape(len(dist), -1))
+    totals, summed = sum(blocks).reshape(2, count, n)  # block by block
+    costs = summed if costs is None else costs[slates]
     return totals, costs, totals.argmax(axis=1), costs.argmin(axis=1)
 
 
-def _location_sum(mass, dist):
-    """Column sums of mass[i] * dist[i, j], each over the rows in order (no
-    BLAS; einsum would unroll the sum of a lone column, cumsum does not)."""
-    if dist.shape[1] == 1:
-        return np.cumsum(mass * dist[:, 0])[-1:]
-    return np.einsum("i,ij->j", mass, dist)
+def _location_sum(partial, mass, dist):
+    """``partial`` plus the mass[i] * dist[i, j] of each column j, summed in row
+    order (no BLAS; add.reduce sums a lone column pairwise, cumsum does not)."""
+    terms = mass[:, None] * dist
+    terms[0] += partial
+    if terms.shape[1] == 1:
+        return np.cumsum(terms[:, 0])[-1:]
+    return np.add.reduce(terms, axis=0)
 
 
 def _derived_costs(space: MetricSpace, locations) -> np.ndarray:

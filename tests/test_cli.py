@@ -300,6 +300,31 @@ def test_zero_trial_and_triple_cap_are_accepted(line_file):
     assert code == 0 and "exhaustive=False" in out
 
 
+_SMALL = ("--random", "20,uniform-box-L2", "--family", "borda", "--n", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    # seed -1 would draw what seed 2^64 - 1 draws, trial 2^64 what trial 0 does
+    ("election", *_SMALL, "--seed", "-1"),
+    ("election", *_SMALL, "--seed", str(2**64)),
+    ("election", *_SMALL, "--seed", "1", "--trial", str(2**64)),
+    ("estimate", *_SMALL, "--trials", "5", "--seed", "-1"),
+    ("adversarial", "--rho", "1.25", "--family", "borda", "--trials", "2", "--n", "4",
+     "--big-n", "256", "--m-atoms", "32", "--seed", "-1"),
+])
+def test_seed_or_trial_outside_64_bits_is_input_error(capsys, argv):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "error:" in err and f"argument {argv[-2]}: must be" in err
+
+
+def test_largest_seed_and_trial_are_accepted():
+    last = str(2**64 - 1)
+    code, out = run_cli("election", *_SMALL, "--seed", last, "--trial", last)
+    assert code == 0 and f"seed={last} trial={last}" in out
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

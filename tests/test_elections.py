@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -397,6 +398,37 @@ def test_sub_block_size_changes_no_bit(golden_instance, monkeypatch, pass_rows):
     monkeypatch.setattr(elections, "_PASS_ELEMENTS", pass_rows * 16)
     for f, outcome in want.items():
         assert run_election(golden_instance, slate, parse_family(f).score_vector(16)) == outcome
+
+
+@pytest.mark.parametrize("family", ["plurality", "borda"])
+def test_election_memory_is_pass_sized(golden_instance, family):
+    # 16 candidates on 70512 locations: buffers of 65536-location blocks
+    # peaked at 12 and 26 MiB; pass-sized ones stay below 8 MiB
+    slate = json.loads(GOLDEN.read_text())["cases"][-1]["slate"]
+    vec = parse_family(family).score_vector(16)
+    run_election(golden_instance, slate, vec)
+    tracemalloc.start()
+    try:
+        run_election(golden_instance, slate, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("pass_rows", [None, 1000])
+def test_lone_column_cost_sums_each_block_then_the_blocks(golden_instance, monkeypatch, pass_rows):
+    # a one-location cost is a lone column: a cumsum over each block of
+    # elections._CHUNK_ROWS rows, carried across passes, then block by block
+    space = golden_instance
+    if pass_rows:
+        monkeypatch.setattr(elections, "_PASS_ELEMENTS", pass_rows)
+    for location in (0, 1, 69999, 70000, space.npoints - 1):
+        terms = space.mass * space.dist_block(np.arange(space.npoints), location)
+        want = 0.0
+        for start in range(0, space.npoints, elections._CHUNK_ROWS):
+            want += np.cumsum(terms[start : start + elections._CHUNK_ROWS])[-1]
+        assert social_cost(space, location).hex() == want.hex()
 
 
 def _dyadic_line(npoints, derived):

@@ -308,6 +308,17 @@ def test_trial_uniforms_are_the_keyed_philox_streams(seed):
         assert row.tobytes() == want.tobytes()
 
 
+def test_sample_candidates_refuses_keys_outside_64_bits():
+    space = random_space(5, 20, "uniform-box-L2")
+    last = 2**64 - 1
+    assert sample_candidates(space, 3, last, last).shape == (3,)
+    for seed, trial in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+            sample_candidates(space, 3, seed, trial)
+    with pytest.raises(ValueError, match="must lie in"):  # a batch that runs past 2^64 - 1
+        trial_uniforms(0, last - 1, 3, 2)
+
+
 def test_sample_candidates_is_a_row_of_the_batch():
     space = random_space(5, 20, "uniform-box-L2")
     batch = montecarlo._slates(space, 6, 3, 10, 4)

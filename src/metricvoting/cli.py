@@ -207,7 +207,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_scan(args) -> int:
     family = parse_family(args.family)
-    y_grid = [rational(tok) for tok in args.y_grid.split(",")] if args.y_grid else condition.DEFAULT_Y_GRID
+    y_grid = condition.DEFAULT_Y_GRID
+    if args.y_grid is not None:  # "" is an empty grid, which scan refuses
+        y_grid = [rational(tok) for tok in args.y_grid.split(",")] if args.y_grid else []
     report = condition.scan(family, y_grid, args.n_min, args.n_max)
     with _output(args.out) as out:
         _header(out, family=family.spec, n_min=args.n_min, n_max=args.n_max,

@@ -9,14 +9,14 @@ characterization compares
 and the rule is constant-distortion iff some y makes lhs > rhs (strictly) for
 all large n.  A shifted variant with slack factor 2 supports the sufficiency
 argument.  Everything here is exact rational arithmetic: scans over a
-(y, n) grid use closed-form prefix sums per family, so no floats and no
-per-n vector materialization.  A scan can only certify a finite horizon,
-and its verdict says so explicitly.
+(y, n) grid use each family's closed-form prefix sums as integer pairs and
+build one Fraction per side, so no floats and no per-n vector
+materialization.  A scan can only certify a finite horizon, and its verdict
+says so explicitly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
@@ -42,10 +42,24 @@ _CLASSIFIER_GRID = tuple(Fraction(i, 8) for i in range(1, 8))
 
 
 def _ceil_y(y: Fraction, n: int) -> int:
-    big_y = math.ceil(Fraction(y) * (n - 1))
+    big_y = -((1 - n) * y.numerator // y.denominator)
     if not 1 <= big_y <= n - 1:
         raise ValueError(f"y={y} gives ceil(y*(n-1))={big_y} outside [1, n-1]")
     return big_y
+
+
+def _minus(a: tuple, b: tuple) -> tuple:
+    """a - b for (num, den) pairs; cross-multiplies only unequal denominators."""
+    (a_num, a_den), (b_num, b_den) = a, b
+    if a_den == b_den:
+        return a_num - b_num, a_den
+    return a_num * b_den - b_num * a_den, a_den * b_den
+
+
+def _rhs(family: RuleFamily, n: int, big: int, w_num: int, w_den: int) -> Fraction:
+    """Right side of both inequalities: (w_num/w_den) * (big - (P(n) - P(n-big)))."""
+    tail_num, tail_den = _minus(family._prefix_terms(n, n), family._prefix_terms(n, n - big))
+    return Fraction(w_num * (big * tail_den - tail_num), w_den * tail_den)
 
 
 def condition_sides(vector: ScoringVector, y) -> Tuple[Fraction, Fraction]:
@@ -79,30 +93,43 @@ def shifted_sides(vector: ScoringVector, z, m: int) -> Tuple[Fraction, Fraction]
 
 
 def condition_sides_family(family: RuleFamily, n: int, y) -> Tuple[Fraction, Fraction]:
-    """Closed-form (lhs, rhs) via the family's exact prefix sums."""
+    """Closed-form (lhs, rhs) via the family's integer prefix sums P.
+
+    P(Y) - Y*s(Y) is written (Y+1)*P(Y) - Y*P(Y+1), as s(Y) = P(Y+1) - P(Y),
+    so each side is built as one Fraction from integers.
+    """
     y = Fraction(y)
-    if not 0 < y < 1:
+    if not 0 < y.numerator < y.denominator:
         raise ValueError("y must lie in (0, 1)")
+    return _family_sides(family, n, y)
+
+
+def _family_sides(family: RuleFamily, n: int, y: Fraction) -> Tuple[Fraction, Fraction]:
+    """condition_sides_family for a Fraction y checked to lie in (0, 1)."""
+    y_num, y_den = y.numerator, y.denominator
     big_y = _ceil_y(y, n)
-    s_at_y = family.score_at(n, big_y)
-    lhs = y * (family.prefix_sum(n, big_y) - big_y * s_at_y)
-    tail = family.prefix_sum(n, n) - family.prefix_sum(n, n - big_y)
-    rhs = (1 - y) * (big_y - tail)
-    return lhs, rhs
+    p_num, p_den = family._prefix_terms(n, big_y)
+    q_num, q_den = family._prefix_terms(n, big_y + 1)
+    num, den = _minus(((big_y + 1) * p_num, p_den), (big_y * q_num, q_den))
+    lhs = Fraction(y_num * num, y_den * den)
+    return lhs, _rhs(family, n, big_y, y_den - y_num, y_den)
 
 
 def shifted_sides_family(family: RuleFamily, n: int, z, m: int) -> Tuple[Fraction, Fraction]:
     z = Fraction(z)
-    if not Fraction(1, 2) < z < 1:
+    z_num, z_den = z.numerator, z.denominator
+    if not z_den < 2 * z_num < 2 * z_den:
         raise ValueError("z must lie in (1/2, 1)")
     big_z = _ceil_y(z, n)
     if m < 0 or m + big_z > n - 1:
         raise ValueError(f"offset m={m} overflows: m + {big_z} must stay <= n-1={n - 1}")
-    s_shift = family.score_at(n, m + big_z)
-    lhs = z * (family.prefix_sum(n, m + big_z) - family.prefix_sum(n, m) - big_z * s_shift)
-    tail = family.prefix_sum(n, n) - family.prefix_sum(n, n - big_z)
-    rhs = 2 * (1 - z) * (big_z - tail)
-    return lhs, rhs
+    # P(m+Z) - P(m) - Z*s(m+Z) == (Z+1)*P(m+Z) - P(m) - Z*P(m+Z+1)
+    p_num, p_den = family._prefix_terms(n, m + big_z)
+    q_num, q_den = family._prefix_terms(n, m + big_z + 1)
+    head = _minus(((big_z + 1) * p_num, p_den), family._prefix_terms(n, m))
+    num, den = _minus(head, (big_z * q_num, q_den))
+    lhs = Fraction(z_num * num, z_den * den)
+    return lhs, _rhs(family, n, big_z, 2 * (z_den - z_num), z_den)
 
 
 @dataclass(frozen=True)
@@ -172,7 +199,7 @@ def scan(
     for y in y_grid:
         last_fail = None
         for n in range(n_min, n_max + 1):
-            lhs, rhs = condition_sides_family(family, n, y)
+            lhs, rhs = _family_sides(family, n, y)
             cell = ConditionCell(y, n, lhs, rhs)
             cells.append(cell)
             if cell.holds:

@@ -57,7 +57,13 @@ class RuleFamily:
 
     def prefix_sum(self, n: int, m: int) -> Fraction:
         """Sum of scores at positions 0..m-1 (closed form where possible)."""
-        return sum((self.score_at(n, k) for k in range(m)), Fraction(0))
+        return Fraction(*self._prefix_terms(n, m))
+
+    def _prefix_terms(self, n: int, m: int) -> tuple:
+        """``prefix_sum(n, m)`` as an unnormalized integer pair (num, den),
+        den > 0; families with a closed form override this generic sum."""
+        total = sum((self.score_at(n, k) for k in range(m)), Fraction(0))
+        return total.numerator, total.denominator
 
     def limit_value(self, x: Rational) -> Optional[Fraction]:
         """The limit rule f(x), or None where it is undefined."""
@@ -98,8 +104,8 @@ class _Approval(RuleFamily):
     def score_at(self, n, k):
         return Fraction(1 if k < min(self._ones(n), n - 1) else 0)
 
-    def prefix_sum(self, n, m):
-        return Fraction(min(m, self._ones(n), n - 1))
+    def _prefix_terms(self, n, m):
+        return min(m, self._ones(n), n - 1), 1
 
     def limit_value(self, x):
         x = _check_x(x)
@@ -146,7 +152,7 @@ class GammaApproval(_Approval):
         self.spec = f"gapproval:{gamma.numerator}/{gamma.denominator}"
 
     def _ones(self, n):
-        return int(self.gamma * n) + 1
+        return self.gamma.numerator * n // self.gamma.denominator + 1
 
 
 class Borda(RuleFamily):
@@ -155,9 +161,9 @@ class Borda(RuleFamily):
     def score_at(self, n, k):
         return Fraction(n - 1 - k, n - 1)
 
-    def prefix_sum(self, n, m):
+    def _prefix_terms(self, n, m):
         # sum_{k<m} (n-1-k)/(n-1) = m*(2(n-1) - (m-1)) / (2(n-1))
-        return Fraction(m * (2 * (n - 1) - (m - 1)), 2 * (n - 1))
+        return m * (2 * (n - 1) - (m - 1)), 2 * (n - 1)
 
     def limit_value(self, x):
         return 1 - _check_x(x)
@@ -181,8 +187,10 @@ class Dowdall(RuleFamily):
     def score_at(self, n, k):
         return Fraction(n - (k + 1), (n - 1) * (k + 1))
 
-    def prefix_sum(self, n, m):
-        return (n * _harmonic(m) - m) / (n - 1)
+    def _prefix_terms(self, n, m):
+        # (n*H_m - m) / (n-1), over H_m's reduced denominator
+        h = _harmonic(m)
+        return n * h.numerator - m * h.denominator, (n - 1) * h.denominator
 
     def limit_value(self, x):
         return Fraction(1 if _check_x(x) == 0 else 0)

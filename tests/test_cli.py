@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import re
@@ -101,6 +102,31 @@ def test_scan_csv_schema(tmp_path):
     assert lines[2] == "borda,9,10,11,81/20,27/50,1"
     # a single-n horizon can never certify (it needs n0 <= n_max/2)
     assert lines[3] == "Mixed"
+
+
+# sha256 of `scan --family F --n-max 2000` stdout as first recorded, when
+# every scan cell was computed in Fraction arithmetic
+SCAN_STDOUT_SHA256 = {
+    "plurality": "d18f27c0bd2cedc9c1c5540706b976e0f5be5e32e28d0d1c7032528ac21bdfd7",
+    "veto": "df2e9a069cfbddaf35c59c216a670baf67220db2a6004eaec3bb4606b5a001bf",
+    "kapproval:3": "4a9ba33b2cb63d605e69825831421c0ccba504d1602139e818fe4be6778e70ed",
+    "gapproval:1/2": "e6cb5aac8034abdf958384e14d1675588791510d6297fc8640d33a6045471cef",
+    "borda": "76d8c96c46ee28900c138c6411bee7865878674749e911f36501683b332d681d",
+    "dowdall": "a3e2ab93d82bf6cd23ff325f5287e7e598baf3cdf52283f6e37e0462e29b8c85",
+}
+
+
+@pytest.mark.parametrize("family", list(SCAN_STDOUT_SHA256))
+def test_scan_stdout_is_pinned(family):
+    code, out = run_cli("scan", "--family", family, "--n-max", "2000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_STDOUT_SHA256[family]
+
+
+def test_empty_y_grid_is_input_error(capsys):
+    code, out = run_cli("scan", "--family", "borda", "--y-grid", "", "--n-max", "20")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: empty y grid\n"
 
 
 def test_classify_output():

@@ -27,6 +27,13 @@ ALL_FAMILIES = [
     Dowdall(),
 ]
 
+# raw integer rows (with ties) for every n the fast-path test visits;
+# normalization divides them by (n-1)^2 + 3*floor((n-1)/2)
+TABLE_FAMILY = TableFamily(rows={
+    n: tuple((n - 1 - k) ** 2 + 3 * ((n - 1 - k) // 2) for k in range(n))
+    for n in (2, 3, 5, 9, 17, 33, 65, 128)
+})
+
 
 def test_borda_spot_values():
     lhs, rhs = condition_sides(Borda().score_vector(11), F(9, 10))
@@ -85,7 +92,7 @@ def test_shifted_offset_overflow():
         shifted_sides(Borda().score_vector(20), F(9, 10), 3)
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
+@pytest.mark.parametrize("family", ALL_FAMILIES + [TABLE_FAMILY], ids=lambda f: f.spec)
 def test_family_fast_paths_match_generic(family):
     for n in (2, 3, 5, 9, 17, 33, 65, 128):
         vec = family.score_vector(n)
@@ -142,6 +149,24 @@ def test_scan_cells_match_generic():
     report = scan(Borda(), y_grid=[F(1, 2), F(9, 10)], n_min=4, n_max=40)
     for cell in report.cells:
         assert (cell.lhs, cell.rhs) == condition_sides(Borda().score_vector(cell.n), cell.y)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
+def test_scan_cells_and_prefix_sums_match_vectors_at_large_n(family):
+    # Dowdall's harmonic denominators grow past 800 digits by n = 2000
+    report = scan(family, n_min=2, n_max=2000)
+    cells = {(cell.y, cell.n): cell for cell in report.cells}
+    for n in (2, 3, 4, 127, 128, 1021, 1024, 2000):
+        vec = family.score_vector(n)
+        for y in DEFAULT_Y_GRID:
+            cell = cells[y, n]
+            assert (cell.lhs, cell.rhs) == condition_sides(vec, y), (n, y)
+        running = F(0)
+        for m in range(n + 1):
+            total = family.prefix_sum(n, m)
+            assert type(total) is F and total == running, (n, m)
+            if m < n:
+                running += vec.scores[m]
 
 
 def test_scan_verdict_is_horizon_relative():

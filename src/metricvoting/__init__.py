@@ -38,6 +38,7 @@ from .montecarlo import (
     estimate_distortion,
     exact_expected_distortion,
     merge_estimates,
+    probe_estimate,
     sample_candidates,
     sufficiency_probe,
 )

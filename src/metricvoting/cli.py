@@ -29,13 +29,6 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("METRICVOTING_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
     if int(text) < 1:
@@ -192,8 +185,7 @@ def cmd_estimate(args) -> int:
             writer.writerow(["r", "pr_winner_distance_ge_r"])
             writer.writerows(est.winner_distance_histogram)
     if args.probe_z is not None:
-        # the estimate elected the probe's trials: reuse its winner distances
-        probe = montecarlo._probe_counts(space, args.n, seed, probe_z, est.winner_distances)
+        probe = montecarlo.probe_estimate(space, est, args.n, seed, probe_z)
         with _output(args.probe_out) as fh:
             _header(fh, z=probe.z, tilde_y=probe.tilde_y, r_tilde=probe.r_tilde,
                     median=probe.median_index, trials=probe.trials)
@@ -308,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=word64)
-    p.add_argument("--jobs", type=positive_int, default=_default_jobs())
+    p.add_argument("--jobs", type=positive_int, default=os.environ.get("METRICVOTING_JOBS", "1"))
     p.add_argument("--probe-z", type=rational, help="also run the sufficiency probe at this z")
     p.add_argument("--probe-out")
     p.add_argument("--histogram-out")
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="candidate count override")
     p.add_argument("--big-n", type=int, help="near-cluster location count override")
     p.add_argument("--m-atoms", type=int, default=512)
-    p.add_argument("--jobs", type=positive_int, default=_default_jobs())
+    p.add_argument("--jobs", type=positive_int, default=os.environ.get("METRICVOTING_JOBS", "1"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_adversarial)
 

@@ -7,12 +7,12 @@ characterization compares
     rhs = (1-y) * sum_{k=n-Y}^{n-1} (1 - s(k))
 
 and the rule is constant-distortion iff some y makes lhs > rhs (strictly) for
-all large n.  A shifted variant with slack factor 2 supports the sufficiency
-argument.  Everything here is exact rational arithmetic: scans over a
-(y, n) grid use each family's closed-form prefix sums as integer pairs and
-build one Fraction per side, so no floats and no per-n vector
-materialization.  A scan can only certify a finite horizon, and its verdict
-says so explicitly.
+all large n.  A shifted variant supports the sufficiency argument: offset m
+moves the left sum to s(m+k) - s(m+Y), and slack factor 2 doubles rhs.  Both
+are exact rational arithmetic, computed once from the materialized scores
+(the reference) and once from each family's closed-form prefix sums as
+integer pairs, which is what a scan over the (y, n) grid uses.  A scan can
+only certify a finite horizon, and its verdict says so explicitly.
 """
 
 from __future__ import annotations
@@ -41,11 +41,14 @@ INDETERMINATE_LIMIT = "IndeterminateLimit"
 _CLASSIFIER_GRID = tuple(Fraction(i, 8) for i in range(1, 8))
 
 
-def _ceil_y(y: Fraction, n: int) -> int:
-    big_y = -((1 - n) * y.numerator // y.denominator)
-    if not 1 <= big_y <= n - 1:
-        raise ValueError(f"y={y} gives ceil(y*(n-1))={big_y} outside [1, n-1]")
-    return big_y
+def _ceil_y(q: Fraction, n: int, m: int) -> int:
+    """Q = ceil(q*(n-1)), checked to lie in [1, n-1] with room for offset m."""
+    big = -((1 - n) * q.numerator // q.denominator)
+    if not 1 <= big <= n - 1:
+        raise ValueError(f"y={q} gives ceil(y*(n-1))={big} outside [1, n-1]")
+    if m < 0 or m + big > n - 1:
+        raise ValueError(f"offset m={m} overflows: m + {big} must stay <= n-1={n - 1}")
+    return big
 
 
 def _minus(a: tuple, b: tuple) -> tuple:
@@ -56,10 +59,31 @@ def _minus(a: tuple, b: tuple) -> tuple:
     return a_num * b_den - b_num * a_den, a_den * b_den
 
 
-def _rhs(family: RuleFamily, n: int, big: int, w_num: int, w_den: int) -> Fraction:
-    """Right side of both inequalities: (w_num/w_den) * (big - (P(n) - P(n-big)))."""
+def _vector_sides(vector: ScoringVector, q: Fraction, m: int, slack: int) -> Tuple[Fraction, Fraction]:
+    """The sides at quantile q, offset m and slack, summed over the scores."""
+    n, s = vector.n, vector.scores
+    big = _ceil_y(q, n, m)
+    lhs = q * sum((s[m + k] - s[m + big] for k in range(big)), Fraction(0))
+    rhs = slack * (1 - q) * sum((1 - s[k] for k in range(n - big, n)), Fraction(0))
+    return lhs, rhs
+
+
+def _prefix_sides(family: RuleFamily, n: int, q: Fraction, m: int, slack: int) -> tuple:
+    """(lhs, rhs, lhs > rhs) of ``_vector_sides`` from the family's prefix sums
+    P, each side an integer pair over a positive denominator (lhs > rhs
+    cross-multiplies them): P(m+Q) - P(m) - Q*s(m+Q) = (Q+1)*P(m+Q) - P(m) - Q*P(m+Q+1)."""
+    q_num, q_den = q.numerator, q.denominator
+    big = _ceil_y(q, n, m)
+    p_num, p_den = family._prefix_terms(n, m + big)
+    r_num, r_den = family._prefix_terms(n, m + big + 1)
+    head = (big + 1) * p_num, p_den
+    if m:  # P(0) = 0
+        head = _minus(head, family._prefix_terms(n, m))
+    num, den = _minus(head, (big * r_num, r_den))
+    lhs_num, lhs_den = q_num * num, q_den * den
     tail_num, tail_den = _minus(family._prefix_terms(n, n), family._prefix_terms(n, n - big))
-    return Fraction(w_num * (big * tail_den - tail_num), w_den * tail_den)
+    rhs_num, rhs_den = slack * (q_den - q_num) * (big * tail_den - tail_num), q_den * tail_den
+    return Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den), lhs_num * rhs_den > rhs_num * lhs_den
 
 
 def condition_sides(vector: ScoringVector, y) -> Tuple[Fraction, Fraction]:
@@ -67,14 +91,9 @@ def condition_sides(vector: ScoringVector, y) -> Tuple[Fraction, Fraction]:
     y = Fraction(y)
     if not 0 < y < 1:
         raise ValueError("y must lie in (0, 1)")
-    n = vector.n
-    if n < 2:
+    if vector.n < 2:
         raise ValueError("condition needs n >= 2")
-    s = vector.scores
-    big_y = _ceil_y(y, n)
-    lhs = y * sum((s[k] - s[big_y] for k in range(big_y)), Fraction(0))
-    rhs = (1 - y) * sum((1 - s[k] for k in range(n - big_y, n)), Fraction(0))
-    return lhs, rhs
+    return _vector_sides(vector, y, 0, 1)
 
 
 def shifted_sides(vector: ScoringVector, z, m: int) -> Tuple[Fraction, Fraction]:
@@ -82,54 +101,23 @@ def shifted_sides(vector: ScoringVector, z, m: int) -> Tuple[Fraction, Fraction]
     z = Fraction(z)
     if not Fraction(1, 2) < z < 1:
         raise ValueError("z must lie in (1/2, 1)")
-    n = vector.n
-    big_z = _ceil_y(z, n)
-    if m < 0 or m + big_z > n - 1:
-        raise ValueError(f"offset m={m} overflows: m + {big_z} must stay <= n-1={n - 1}")
-    s = vector.scores
-    lhs = z * sum((s[m + k] - s[m + big_z] for k in range(big_z)), Fraction(0))
-    rhs = 2 * (1 - z) * sum((1 - s[k] for k in range(n - big_z, n)), Fraction(0))
-    return lhs, rhs
+    return _vector_sides(vector, z, m, 2)
 
 
 def condition_sides_family(family: RuleFamily, n: int, y) -> Tuple[Fraction, Fraction]:
-    """Closed-form (lhs, rhs) via the family's integer prefix sums P.
-
-    P(Y) - Y*s(Y) is written (Y+1)*P(Y) - Y*P(Y+1), as s(Y) = P(Y+1) - P(Y),
-    so each side is built as one Fraction from integers.
-    """
+    """``condition_sides`` from the family's integer prefix sums."""
     y = Fraction(y)
     if not 0 < y.numerator < y.denominator:
         raise ValueError("y must lie in (0, 1)")
-    return _family_sides(family, n, y)
-
-
-def _family_sides(family: RuleFamily, n: int, y: Fraction) -> Tuple[Fraction, Fraction]:
-    """condition_sides_family for a Fraction y checked to lie in (0, 1)."""
-    y_num, y_den = y.numerator, y.denominator
-    big_y = _ceil_y(y, n)
-    p_num, p_den = family._prefix_terms(n, big_y)
-    q_num, q_den = family._prefix_terms(n, big_y + 1)
-    num, den = _minus(((big_y + 1) * p_num, p_den), (big_y * q_num, q_den))
-    lhs = Fraction(y_num * num, y_den * den)
-    return lhs, _rhs(family, n, big_y, y_den - y_num, y_den)
+    return _prefix_sides(family, n, y, 0, 1)[:2]
 
 
 def shifted_sides_family(family: RuleFamily, n: int, z, m: int) -> Tuple[Fraction, Fraction]:
+    """``shifted_sides`` from the family's integer prefix sums."""
     z = Fraction(z)
-    z_num, z_den = z.numerator, z.denominator
-    if not z_den < 2 * z_num < 2 * z_den:
+    if not z.denominator < 2 * z.numerator < 2 * z.denominator:
         raise ValueError("z must lie in (1/2, 1)")
-    big_z = _ceil_y(z, n)
-    if m < 0 or m + big_z > n - 1:
-        raise ValueError(f"offset m={m} overflows: m + {big_z} must stay <= n-1={n - 1}")
-    # P(m+Z) - P(m) - Z*s(m+Z) == (Z+1)*P(m+Z) - P(m) - Z*P(m+Z+1)
-    p_num, p_den = family._prefix_terms(n, m + big_z)
-    q_num, q_den = family._prefix_terms(n, m + big_z + 1)
-    head = _minus(((big_z + 1) * p_num, p_den), family._prefix_terms(n, m))
-    num, den = _minus(head, (big_z * q_num, q_den))
-    lhs = Fraction(z_num * num, z_den * den)
-    return lhs, _rhs(family, n, big_z, 2 * (z_den - z_num), z_den)
+    return _prefix_sides(family, n, z, m, 2)[:2]
 
 
 @dataclass(frozen=True)
@@ -138,11 +126,7 @@ class ConditionCell:
     n: int
     lhs: Fraction
     rhs: Fraction
-
-    @property
-    def holds(self) -> bool:
-        # strict: ties count as failure
-        return self.lhs > self.rhs
+    holds: bool  # lhs > rhs, strictly: ties count as failure
 
 
 @dataclass(frozen=True)
@@ -199,8 +183,7 @@ def scan(
     for y in y_grid:
         last_fail = None
         for n in range(n_min, n_max + 1):
-            lhs, rhs = _family_sides(family, n, y)
-            cell = ConditionCell(y, n, lhs, rhs)
+            cell = ConditionCell(y, n, *_prefix_sides(family, n, y, 0, 1))
             cells.append(cell)
             if cell.holds:
                 if 2 * n >= n_max:

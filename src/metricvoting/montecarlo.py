@@ -11,6 +11,7 @@ trial-ordered array, which is what makes the merge byte-identical.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -115,16 +116,16 @@ def _trials(space, vector, seed, start, count):
 
 def _fan_out(fn, args, start, count, jobs):
     """Run ``fn(*args, s, c)`` over contiguous trial ranges (s, c) covering
-    [start, start + count) and return the parts in trial order; ranges go
-    to ``jobs`` worker processes unless jobs <= 1 or under 4 trials."""
+    [start, start + count) and return the parts in trial order; with jobs
+    capped at the core count, ranges go to one worker process each unless
+    jobs <= 1 or under 4 trials."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or count < 4:
         return [fn(*args, start, count)]
     step = -(-count // jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(fn, *args, start + off, min(step, count - off))
-            for off in range(0, count, step)
-        ]
+    offsets = range(0, count, step)
+    with ProcessPoolExecutor(max_workers=len(offsets)) as pool:
+        futures = [pool.submit(fn, *args, start + off, min(step, count - off)) for off in offsets]
         return [f.result() for f in futures]
 
 
@@ -256,15 +257,15 @@ def sufficiency_probe(
     z,
 ) -> SufficiencyCheck:
     """Record tail events E_r and winner escapes over a grid of radii."""
+    z = checked_probe_z(z)  # before the estimate
+    return probe_estimate(space, estimate_distortion(space, family, n, trials, seed), n, seed, z)
+
+
+def probe_estimate(space: MetricSpace, estimate: Estimate, n: int, seed: int, z) -> SufficiencyCheck:
+    """The sufficiency probe over the trials of ``estimate``, an estimate of
+    n-candidate elections at ``seed``: its winner distances give the
+    escapes, and the tail events need only the redrawn slates, no election."""
     z = checked_probe_z(z)
-    est = estimate_distortion(space, family, n, trials, seed)
-    return _probe_counts(space, n, seed, z, est.winner_distances)
-
-
-def _probe_counts(space: MetricSpace, n: int, seed: int, z: float, winner_distances) -> SufficiencyCheck:
-    """The probe over trials 0..T-1, given the distance of each trial's
-    winner from the 1-median (an estimate's ``winner_distances``); the tail
-    events need only the redrawn slates, no election."""
     median_index = one_median(space)
     dist_from_o = space.distances_from(median_index)
     knots = np.unique(dist_from_o)
@@ -277,13 +278,14 @@ def _probe_counts(space: MetricSpace, n: int, seed: int, z: float, winner_distan
     v_of_r = 1.0 - ball_mass[knots >= r_tilde]
 
     threshold = (1.0 - z) * n
+    start = estimate.trial_start
     events = np.zeros(grid.size, dtype=np.int64)
     escapes = np.zeros(grid.size, dtype=np.int64)
     violations = np.zeros(grid.size, dtype=np.int64)
-    for trials, slates in _slate_batches(space, n, seed, 0, winner_distances.size):
+    for trials, slates in _slate_batches(space, n, seed, start, estimate.trials):
         outside = (dist_from_o[slates][:, :, None] > grid).sum(axis=1)
         event = outside > threshold
-        escape = winner_distances[trials.start : trials.stop, None] > 3.0 * grid
+        escape = estimate.winner_distances[trials.start - start : trials.stop - start, None] > 3.0 * grid
         events += event.sum(axis=0)
         escapes += escape.sum(axis=0)
         violations += (~event & escape).sum(axis=0)
@@ -292,7 +294,7 @@ def _probe_counts(space: MetricSpace, n: int, seed: int, z: float, winner_distan
         tilde_y=tilde_y,
         r_tilde=r_tilde,
         median_index=int(median_index),
-        trials=int(winner_distances.size),
+        trials=estimate.trials,
         radii=tuple(float(r) for r in grid),
         outside_mass_at=tuple(float(v) for v in v_of_r),
         event_counts=tuple(int(c) for c in events),

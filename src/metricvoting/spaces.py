@@ -190,7 +190,12 @@ class ValidationReport:
         return not self.violations
 
 
-def _triangle_scan(matrix: np.ndarray, tol, scale=1):
+def _magnitude(value, scale) -> float:
+    """A violation's size as a float, from a distance (difference) times ``scale``."""
+    return float(Fraction(int(value), scale)) if scale != 1 else float(value)
+
+
+def _triangle_scan(matrix: np.ndarray, tol, scale):
     """Scan all triples for d(i,k) > d(i,j) + d(j,k) + tol over ``matrix``
     (the distances times ``scale``); report at most 8 witnesses per j and
     stop once more than 64 are reported, when the check has already failed."""
@@ -198,8 +203,7 @@ def _triangle_scan(matrix: np.ndarray, tol, scale=1):
     for j in range(matrix.shape[0]):
         excess = matrix - (matrix[:, j][:, None] + matrix[j][None, :])
         for i, k in np.argwhere(excess > tol)[:8]:
-            magnitude = float(Fraction(int(excess[i, k]), scale)) if scale != 1 else float(excess[i, k])
-            found.append(Violation("triangle", (int(i), int(j), int(k)), magnitude))
+            found.append(Violation("triangle", (int(i), int(j), int(k)), _magnitude(excess[i, k], scale)))
         if len(found) > 64:
             break
     return found
@@ -221,8 +225,8 @@ def validate(
 
     All triples are checked when the space stores a matrix and has at most
     ``triple_cap`` points; otherwise a fixed-seed sample of ``triangle_samples``
-    triples is drawn.  Exact spaces are checked in exact arithmetic, over
-    their distances scaled to integers (``MetricSpace.scaled``).
+    triples is drawn.  Exact spaces are checked in exact arithmetic, every
+    axiom over their distances scaled to integers (``MetricSpace.scaled``).
     """
     violations = []
     npts = space.npoints
@@ -244,30 +248,30 @@ def validate(
     checked = 0
     exhaustive = True
     if space.matrix is not None:
-        mat = space.matrix
-        for i in np.nonzero(np.diagonal(mat) != 0.0)[0][:16]:
-            violations.append(Violation("diagonal", (int(i),), float(mat[i, i])))
+        mat, scale, tol = space.matrix, 1, _FLOAT_TRIANGLE_TOL
+        if space.exact:
+            _, _, mat, scale = space.scaled
+            tol = 0
+            if 3 * np.abs(mat).max() < 2**63:  # a triangle check's three-entry sums fit an int64
+                mat = mat.astype(np.int64)
+        for i in np.nonzero(np.diagonal(mat) != 0)[0][:16]:
+            violations.append(Violation("diagonal", (int(i),), _magnitude(mat[i, i], scale)))
         asym = np.argwhere(mat != mat.T)
         for i, j in asym[:16]:
             if i < j:
-                violations.append(Violation("asymmetry", (int(i), int(j)), float(mat[i, j] - mat[j, i])))
+                magnitude = _magnitude(mat[i, j] - mat[j, i], scale)
+                violations.append(Violation("asymmetry", (int(i), int(j)), magnitude))
         neg = np.argwhere(mat < 0)
         for i, j in neg[:16]:
-            violations.append(Violation("negative-distance", (int(i), int(j)), float(mat[i, j])))
+            violations.append(Violation("negative-distance", (int(i), int(j)), _magnitude(mat[i, j], scale)))
 
         if npts <= triple_cap:
             checked = npts**3
-            if space.exact:
-                _, _, ints, scale = space.scaled
-                if 3 * np.abs(ints).max() < 2**63:  # the scan's sums of two entries fit an int64
-                    ints = ints.astype(np.int64)
-                violations.extend(_triangle_scan(ints, 0, scale))
-            else:
-                violations.extend(_triangle_scan(mat, _FLOAT_TRIANGLE_TOL))
+            violations.extend(_triangle_scan(mat, tol, scale))
         else:
             exhaustive = False
             checked = triangle_samples
-            violations.extend(_sampled_triangle(space, triangle_samples))
+            violations.extend(_sampled_triangle(npts, lambda i, j: mat[i, j], tol, scale, triangle_samples))
     else:
         diag_idx = np.arange(min(npts, 1 << 21))
         bad_diag = np.nonzero(space.dist_block(diag_idx, diag_idx) != 0.0)[0]
@@ -283,24 +287,26 @@ def validate(
             violations.append(Violation("negative-distance", (int(a[idx]), int(b[idx])), float(dab[idx])))
         exhaustive = False
         checked = triangle_samples
-        violations.extend(_sampled_triangle(space, triangle_samples))
+        violations.extend(_sampled_triangle(npts, space.dist_block, _FLOAT_TRIANGLE_TOL, 1, triangle_samples))
 
     return ValidationReport(tuple(violations), checked, exhaustive)
 
 
-def _sampled_triangle(space: MetricSpace, samples: int):
-    rng = np.random.default_rng([0, space.npoints, 13])
+def _sampled_triangle(npoints: int, dist_block, tol, scale, samples: int):
+    """Check a fixed-seed sample of triples for d(a,c) > d(a,b) + d(b,c) + tol
+    over ``dist_block`` (the distances times ``scale``)."""
+    rng = np.random.default_rng([0, npoints, 13])
     out = []
     remaining = samples
     while remaining > 0:
         count = min(remaining, 1 << 20)
-        a = rng.integers(0, space.npoints, size=count)
-        b = rng.integers(0, space.npoints, size=count)
-        c = rng.integers(0, space.npoints, size=count)
-        excess = space.dist_block(a, c) - space.dist_block(a, b) - space.dist_block(b, c)
-        for idx in np.nonzero(excess > _FLOAT_TRIANGLE_TOL)[0][:16]:
+        a = rng.integers(0, npoints, size=count)
+        b = rng.integers(0, npoints, size=count)
+        c = rng.integers(0, npoints, size=count)
+        excess = dist_block(a, c) - dist_block(a, b) - dist_block(b, c)
+        for idx in np.nonzero(excess > tol)[0][:16]:
             out.append(
-                Violation("triangle", (int(a[idx]), int(b[idx]), int(c[idx])), float(excess[idx]))
+                Violation("triangle", (int(a[idx]), int(b[idx]), int(c[idx])), _magnitude(excess[idx], scale))
             )
         if len(out) > 64:
             break
@@ -521,11 +527,7 @@ def random_space(seed: int, npoints: int, mode: str) -> MetricSpace:
         pts = rng.random((npoints, 2))
         mass = rng.uniform(0.5, 1.5, npoints)
         mass /= mass.sum()
-        diff = pts[:, None, :] - pts[None, :, :]
-        matrix = np.sqrt((diff**2).sum(axis=2))
-        matrix = np.triu(matrix, 1)
-        matrix = matrix + matrix.T  # exact symmetry
-        return MetricSpace(mass, matrix=matrix, label=label)
+        return MetricSpace(mass, matrix=_coords_matrix(pts, "L2", None), label=label)
 
     denom = 1 << 20
     weights = rng.integers(1, 65, size=npoints)

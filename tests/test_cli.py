@@ -159,6 +159,22 @@ def test_validate_ok_and_violation(tmp_path, line_file):
     assert "ok=False" in out and "triangle" in out
 
 
+def test_validate_samples_an_exact_file_in_exact_arithmetic(tmp_path):
+    # a 301-point line whose far end is 2^-50 too long: above the triple
+    # cap the sampled triples must see the excess a float sum rounds away
+    lines = ["version 1", "points 301", "mass " + " ".join(["1/301"] * 301), "matrix"]
+    lines += [" ".join(str(i - j) for j in range(i)) for i in range(1, 301)]
+    lines[-1] = f"{300 * 2**50 + 1}/{2**50} " + lines[-1].split(" ", 1)[1]
+    path = tmp_path / "line301.space"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("validate", "--space", str(path))
+    assert code == 3
+    assert out.splitlines()[0] == f"# space={path} points=301 exhaustive=False"
+    assert out.splitlines()[1].startswith("ok=False") and "kind=triangle" in out
+    code, _ = run_cli("cost", "--space", str(path))
+    assert code == 2
+
+
 def test_cost_command(line_file):
     code, out = run_cli("cost", "--space", line_file)
     assert code == 0
@@ -303,6 +319,22 @@ def test_jobs_below_one_is_input_error(capsys, command, jobs):
     code, out = run_cli(*command, "--trials", "5", "--seed", "1", "--jobs", jobs)
     assert code == 2 and out == ""
     assert "--jobs: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_jobs_environment_is_input_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("METRICVOTING_JOBS", value)
+    code, out = run_cli("estimate", "--random", "6,uniform-box-L2", "--family", "borda", "--n", "3",
+                        "--trials", "3", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "argument --jobs:" in capsys.readouterr().err
+
+
+def test_jobs_environment_sets_the_default(monkeypatch):
+    monkeypatch.setenv("METRICVOTING_JOBS", "2")
+    code, out = run_cli("estimate", "--random", "6,uniform-box-L2", "--family", "borda", "--n", "3",
+                        "--trials", "3", "--seed", "1")
+    assert code == 0 and " jobs=2 " in out.splitlines()[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from concurrent.futures import Future
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,13 +13,14 @@ from metricvoting import (
     estimate_distortion,
     exact_expected_distortion,
     merge_estimates,
+    probe_estimate,
     random_space,
     sample_candidates,
     sufficiency_probe,
 )
 from metricvoting import elections, montecarlo
 from metricvoting._hash import trial_uniforms
-from metricvoting.montecarlo import _probe_counts, _summarize
+from metricvoting.montecarlo import _summarize
 from metricvoting.scoring import Borda, Plurality, Veto, parse_family
 
 
@@ -147,6 +150,42 @@ def test_parallel_jobs_identical_with_offset_and_uneven_ranges():
         assert est == runs[0]
         assert est.distortions.tobytes() == whole.distortions[5:].tobytes()
         assert est.winner_distances.tobytes() == whole.winner_distances[5:].tobytes()
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    task at submit, in this process."""
+
+    def __init__(self, max_workers, requests):
+        requests.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_fan_out_workers_are_capped_by_cores_and_ranges(monkeypatch):
+    requests = []
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor",
+                        lambda max_workers: _InlineExecutor(max_workers, requests))
+    space = random_space(2, 12, "uniform-box-L2")
+    serial = estimate_distortion(space, Plurality(), 4, trials=40, seed=3, jobs=1)
+    wide = estimate_distortion(space, Plurality(), 4, trials=40, seed=3, jobs=10_000)
+    assert wide == serial and wide.distortions.tobytes() == serial.distortions.tobytes()
+    assert all(workers <= (os.cpu_count() or 1) for workers in requests)
+    # 8 cores and 5 trials: ranges of one trial each, so 5 workers, not 8
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    requests.clear()
+    few = estimate_distortion(space, Plurality(), 4, trials=5, seed=3, jobs=10_000)
+    assert requests == [5]
+    assert few.distortions.tobytes() == serial.distortions[:5].tobytes()
 
 
 def test_linear_distortion_envelope():
@@ -296,7 +335,20 @@ def test_estimate_winner_distances_feed_the_probe():
     space = random_space(8, 20, "uniform-box-L2")
     est = estimate_distortion(space, Veto(), 8, 120, 4, jobs=2)
     probe = sufficiency_probe(space, Veto(), 8, 120, 4, 0.6)
-    assert _probe_counts(space, 8, 4, 0.6, est.winner_distances) == probe
+    assert probe_estimate(space, est, 8, 4, 0.6) == probe
+
+
+def test_probe_of_an_offset_estimate_counts_its_own_slates():
+    # counts add over adjoining trial ranges only if each probe redraws the
+    # slates of its own estimate's trials
+    space = random_space(8, 20, "uniform-box-L2")
+    whole, head, tail = (estimate_distortion(space, Veto(), 8, count, 4, trial_start=start)
+                         for start, count in ((0, 120), (0, 45), (45, 75)))
+    probes = [probe_estimate(space, est, 8, 4, 0.6) for est in (whole, head, tail)]
+    assert probes[2].trials == 75
+    for name in ("event_counts", "winner_outside_counts", "violation_counts"):
+        counts = [getattr(probe, name) for probe in probes]
+        assert counts[0] == tuple(a + b for a, b in zip(counts[1], counts[2])), name
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**63 + 12345, 2**64 - 1])

@@ -61,6 +61,25 @@ def test_exact_validation_beyond_int64():
     assert all(v.magnitude == 5.0 for v in report.violations)
 
 
+def _line301_far_end_too_long():
+    rows = [[F(abs(i - j)) for j in range(301)] for i in range(301)]
+    rows[0][300] = rows[300][0] = 300 + F(1, 2**50)
+    return MetricSpace([F(1, 301)] * 301, matrix=rows)
+
+
+@pytest.mark.parametrize("make, kind", [
+    # each excess is lost when the entry is rounded to a float
+    (lambda: MetricSpace([F(1, 2)] * 2, matrix=[[0, F(1, 3)], [F(1, 3) + F(1, 2**60), 0]]), "asymmetry"),
+    (lambda: MetricSpace([F(1, 2)] * 2, matrix=[[F(1, 2**1100), 1], [1, 0]]), "diagonal"),
+    # 301 points exceed the triple cap, so the triangles are sampled
+    (_line301_far_end_too_long, "triangle"),
+], ids=["asymmetry", "diagonal", "triangle"])
+def test_exact_validation_sees_what_floats_round_away(make, kind):
+    report = validate(make())
+    assert not report.ok
+    assert {v.kind for v in report.violations} == {kind}
+
+
 def test_mass_sum_violation():
     space = MetricSpace([F(1, 2), F(2, 5)], matrix=[[0, 1], [1, 0]])
     report = validate(space)

@@ -28,9 +28,11 @@ from .condition import (
 from .elections import (
     ElectionOutcome,
     brute_force_outcome,
+    one_median,
     oracle_sweep,
     rankings,
     run_election,
+    social_cost,
 )
 from .montecarlo import (
     Estimate,
@@ -52,11 +54,9 @@ from .spaces import (
     MetricSpace,
     ValidationReport,
     load_space,
-    one_median,
     outside_mass,
     random_space,
     save_space,
-    social_cost,
     validate,
 )
 

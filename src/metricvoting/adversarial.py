@@ -9,7 +9,7 @@ random ordering of the near locations via a tiny hashed perturbation.
 
 Distances are derived lazily from (seed, indices) and never stored; the
 space holds only the masses and their cumulative sum, 16 bytes per location
-(64 MiB held and 225 MiB at peak while building at N = 2^22).  The
+(64 MiB held, and 64 MiB at peak while building at N = 2^22).  The
 experiment then measures
 how often a representative slate hands the election to the far cluster, and
 the distortion that follows.

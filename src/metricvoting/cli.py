@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import adversarial as adv
 from . import condition, montecarlo, spaces
-from .elections import oracle_sweep, run_election, rankings as election_rankings
+from .elections import one_median, oracle_sweep, run_election, social_cost, rankings as election_rankings
 from .scoring import parse_family
 
 EXIT_OK = 0
@@ -106,7 +106,8 @@ def cmd_validate(args) -> int:
     print(f"# space={args.space} points={space.npoints} exhaustive={report.exhaustive}")
     print(f"ok={report.ok} violations={len(report.violations)}")
     for v in report.violations[:32]:
-        print(f"violation kind={v.kind} witness={v.witness} magnitude={v.magnitude:g}")
+        magnitude = spaces._format_number(v.magnitude) if space.exact else f"{v.magnitude:g}"
+        print(f"violation kind={v.kind} witness={v.witness} magnitude={magnitude}")
     return EXIT_OK if report.ok else EXIT_INVARIANT
 
 
@@ -120,9 +121,9 @@ def cmd_cost(args) -> int:
         writer = csv.writer(out)
         writer.writerow(["location", "social_cost"])
         for i in targets:
-            writer.writerow([i, float(spaces.social_cost(space, i))])
-        median = spaces.one_median(space)
-        print(f"one_median={median} cost={float(spaces.social_cost(space, median))}", file=out)
+            writer.writerow([i, float(social_cost(space, i))])
+        median = one_median(space)
+        print(f"one_median={median} cost={float(social_cost(space, median))}", file=out)
     return EXIT_OK
 
 
@@ -130,11 +131,9 @@ def cmd_election(args) -> int:
     seed = _resolve_seed(args)
     space = _load_source(args, seed)
     family = parse_family(args.family)
-    if args.slate:
+    if args.slate is not None:
         slate = [int(tok) for tok in args.slate.split(",")]
     else:
-        if args.n is None:
-            raise ValueError("need --slate or --n to form a candidate slate")
         slate = montecarlo.sample_candidates(space, args.n, seed, args.trial).tolist()
     vector = family.score_vector(len(slate))
     outcome = run_election(space, slate, vector)
@@ -144,7 +143,7 @@ def cmd_election(args) -> int:
         writer = csv.writer(out)
         writer.writerow(["candidate", "location", "score", "cost"])
         for i, loc in enumerate(slate):
-            writer.writerow([i, loc, float(outcome.scores[i]), float(spaces.social_cost(space, loc))])
+            writer.writerow([i, loc, float(outcome.scores[i]), float(social_cost(space, loc))])
         print(
             f"winner={outcome.winner} optimum={outcome.optimum} "
             f"winner_cost={float(outcome.winner_cost)} optimum_cost={float(outcome.optimum_cost)} "
@@ -185,7 +184,7 @@ def cmd_estimate(args) -> int:
             writer.writerow(["r", "pr_winner_distance_ge_r"])
             writer.writerows(est.winner_distance_histogram)
     if args.probe_z is not None:
-        probe = montecarlo.probe_estimate(space, est, args.n, seed, probe_z)
+        probe = montecarlo.probe_estimate(space, est, probe_z)
         with _output(args.probe_out) as fh:
             _header(fh, z=probe.z, tilde_y=probe.tilde_y, r_tilde=probe.r_tilde,
                     median=probe.median_index, trials=probe.trials)
@@ -286,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("election", help="run a single election")
     _add_source_args(p)
     p.add_argument("--family", required=True)
-    p.add_argument("--slate", help="comma-separated candidate locations")
-    p.add_argument("--n", type=int, help="sample this many candidates instead")
+    slate = p.add_mutually_exclusive_group(required=True)
+    slate.add_argument("--slate", help="comma-separated candidate locations")
+    slate.add_argument("--n", type=int, help="sample this many candidates instead")
     p.add_argument("--trial", type=word64, default=0, help="trial index for sampling")
     p.add_argument("--seed", type=word64)
     p.add_argument("--rankings", action="store_true", help="dump per-location rankings")

@@ -290,16 +290,36 @@ def _location_sum(partial, mass, dist):
     return np.add.reduce(terms, axis=0)
 
 
-def _derived_costs(space: MetricSpace, locations) -> np.ndarray:
-    """Float social costs of ``locations`` on a derived-distance space, as
-    one-candidate elections sum them; at most ``_DERIVED_MEDIAN_CAP``."""
-    slates = np.asarray(locations, dtype=np.int64)[:, None]
-    if slates.size > _DERIVED_MEDIAN_CAP:
+def _location_costs(space: MetricSpace, locations) -> np.ndarray:
+    """The social costs of ``locations`` in the kernel's units (scaled ints on
+    exact spaces, see ``_kernel_space``), summed as elections sum them: on a
+    derived space as one-candidate elections, at most ``_DERIVED_MEDIAN_CAP``."""
+    locations = np.asarray(locations, dtype=np.int64)
+    dist_block, mass, costs = _kernel_space(space, space.exact)
+    if costs is not None:
+        return costs[locations]
+    if locations.size > _DERIVED_MEDIAN_CAP:
         raise ValueError(f"derived-distance costs are capped at {_DERIVED_MEDIAN_CAP} locations")
     step = _batch_step(space.npoints, 1)
-    costs = [_elect(space.dist_block, space.mass, None, np.ones(1), slates[lo : lo + step])[1]
-             for lo in range(0, len(slates), step)]
-    return np.concatenate(costs)[:, 0]
+    return np.concatenate([_elect(dist_block, mass, None, np.ones(1), locations[lo : lo + step, None])[1][:, 0]
+                           for lo in range(0, locations.size, step)])
+
+
+def social_cost(space: MetricSpace, location: int):
+    """Mass-weighted sum of distances from all points to ``location``: a
+    Fraction on exact spaces, else a float."""
+    if not 0 <= location < space.npoints:
+        raise IndexError(f"location {location} out of range for P={space.npoints}")
+    cost = _location_costs(space, [location])[0]
+    if space.exact:
+        _, mass_scale, _, scale = space.scaled
+        return Fraction(cost, mass_scale * scale)
+    return float(cost)
+
+
+def one_median(space: MetricSpace) -> int:
+    """Index minimizing social cost; ties broken by lowest index."""
+    return int(np.argmin(_location_costs(space, range(space.npoints))))
 
 
 def brute_force_outcome(space: MetricSpace, slate, vector: ScoringVector) -> ElectionOutcome:

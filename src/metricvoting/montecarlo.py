@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._hash import trial_uniforms
-from .elections import INFINITE, _batch_step, _derived_costs, _distortion, _elect, _kernel_space
+from .elections import INFINITE, _batch_step, _distortion, _elect, _kernel_space, _location_costs, one_median
 from .scoring import RuleFamily
-from .spaces import MetricSpace, _scaled_integers, one_median
+from .spaces import MetricSpace, _scaled_integers
 
 _ENUMERATION_CAP = 1_000_000
 
@@ -45,6 +45,7 @@ def sample_candidates(space: MetricSpace, n: int, seed: int, trial_index: int) -
 class Estimate:
     """Monte Carlo estimate of expected distortion.
 
+    ``n`` and ``seed`` are the candidate count and seed of its elections.
     Trials whose in-slate optimum has zero cost but whose winner does not are
     flagged infinite: they are counted in ``infinite_flag_count`` and
     excluded from the mean, never averaged.  ``winner_distance_histogram``
@@ -52,6 +53,8 @@ class Estimate:
     probability that the winner lands at distance >= r.
     """
 
+    n: int
+    seed: int
     trials: int
     trial_start: int
     mean: float
@@ -65,7 +68,7 @@ class Estimate:
     winner_distances: np.ndarray = field(compare=False, repr=False, default=None)
 
 
-def _summarize(distortions, winner_distances, knots, trial_start) -> Estimate:
+def _summarize(distortions, winner_distances, knots, n, seed, trial_start) -> Estimate:
     finite = distortions[np.isfinite(distortions)]
     inf_count = int(distortions.size - finite.size)
     if finite.size:
@@ -79,6 +82,8 @@ def _summarize(distortions, winner_distances, knots, trial_start) -> Estimate:
     at_least = ranked.size - np.searchsorted(ranked, knots, side="left")
     hist = tuple((float(r), float(c / ranked.size)) for r, c in zip(knots, at_least))
     return Estimate(
+        n=n,
+        seed=seed,
         trials=int(distortions.size),
         trial_start=trial_start,
         mean=mean,
@@ -151,11 +156,14 @@ def estimate_distortion(
     parts = _fan_out(_trial_batch, (space, vector, seed, dist_from_o), trial_start, trials, jobs)
     dstr = np.concatenate([p[0] for p in parts])
     wdist = np.concatenate([p[1] for p in parts])
-    return _summarize(dstr, wdist, np.unique(dist_from_o), trial_start)
+    return _summarize(dstr, wdist, np.unique(dist_from_o), n, seed, trial_start)
 
 
 def merge_estimates(a: Estimate, b: Estimate) -> Estimate:
-    """Combine runs over adjoining trial ranges; associative by construction."""
+    """Combine runs over adjoining trial ranges of one n and seed;
+    associative by construction."""
+    if (a.n, a.seed) != (b.n, b.seed):
+        raise ValueError("estimates of different n or seed cannot be merged")
     first, second = (a, b) if a.trial_start <= b.trial_start else (b, a)
     if first.trial_start + first.trials != second.trial_start:
         raise ValueError("estimates overlap or leave a gap in trial indices")
@@ -164,6 +172,8 @@ def merge_estimates(a: Estimate, b: Estimate) -> Estimate:
         np.concatenate([first.distortions, second.distortions]),
         np.concatenate([first.winner_distances, second.winner_distances]),
         knots,
+        a.n,
+        a.seed,
         first.trial_start,
     )
 
@@ -180,9 +190,8 @@ def exact_expected_distortion(space: MetricSpace, family: RuleFamily, n: int):
     npts = space.npoints
     if npts**n > _ENUMERATION_CAP:
         raise ValueError(f"P^n = {npts**n} exceeds enumeration cap {_ENUMERATION_CAP}")
-    dist_block, mass, cost = _kernel_space(space, space.exact)
-    if cost is None:  # derived distances
-        cost = _derived_costs(space, range(npts))
+    dist_block, mass, _ = _kernel_space(space, space.exact)
+    cost = _location_costs(space, range(npts))
     vector = family.score_vector(n)
     scores = _scaled_integers(vector.scores)[0] if space.exact else vector.float_scores
     # a slate's distortion depends only on the costs of its winner's and its
@@ -258,13 +267,13 @@ def sufficiency_probe(
 ) -> SufficiencyCheck:
     """Record tail events E_r and winner escapes over a grid of radii."""
     z = checked_probe_z(z)  # before the estimate
-    return probe_estimate(space, estimate_distortion(space, family, n, trials, seed), n, seed, z)
+    return probe_estimate(space, estimate_distortion(space, family, n, trials, seed), z)
 
 
-def probe_estimate(space: MetricSpace, estimate: Estimate, n: int, seed: int, z) -> SufficiencyCheck:
-    """The sufficiency probe over the trials of ``estimate``, an estimate of
-    n-candidate elections at ``seed``: its winner distances give the
-    escapes, and the tail events need only the redrawn slates, no election."""
+def probe_estimate(space: MetricSpace, estimate: Estimate, z) -> SufficiencyCheck:
+    """The sufficiency probe over the trials of ``estimate``: its winner
+    distances give the escapes, and the tail events need only its slates,
+    redrawn from its own n and seed, and no election."""
     z = checked_probe_z(z)
     median_index = one_median(space)
     dist_from_o = space.distances_from(median_index)
@@ -277,12 +286,12 @@ def probe_estimate(space: MetricSpace, estimate: Estimate, n: int, seed: int, z)
     grid = knots[knots >= r_tilde]
     v_of_r = 1.0 - ball_mass[knots >= r_tilde]
 
-    threshold = (1.0 - z) * n
+    threshold = (1.0 - z) * estimate.n
     start = estimate.trial_start
     events = np.zeros(grid.size, dtype=np.int64)
     escapes = np.zeros(grid.size, dtype=np.int64)
     violations = np.zeros(grid.size, dtype=np.int64)
-    for trials, slates in _slate_batches(space, n, seed, start, estimate.trials):
+    for trials, slates in _slate_batches(space, estimate.n, estimate.seed, start, estimate.trials):
         outside = (dist_from_o[slates][:, :, None] > grid).sum(axis=1)
         event = outside > threshold
         escape = estimate.winner_distances[trials.start - start : trials.stop - start, None] > 3.0 * grid

@@ -67,12 +67,25 @@ class SpaceValidationError(ValueError):
         super().__init__(f"space violates metric axioms: {kinds}")
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+def _exact_type(kind) -> bool:
+    return issubclass(kind, (int, Fraction)) and not issubclass(kind, bool)
 
 
-def _fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _intake(values, ndim: int):
+    """Masses, distances or coordinates, ``ndim``-dimensional, as (float64
+    array, the values in row-major order as Fractions, or None): a numeric
+    numpy array is float64 as given; Python numbers or an object array are
+    exact when every value is an int or a Fraction."""
+    numeric = isinstance(values, np.ndarray) and values.dtype != object
+    values = np.asarray(values, dtype=np.float64 if numeric else object)
+    if values.ndim != ndim:  # ragged rows make a 1-dimensional object array
+        raise ValueError(f"expected {ndim}-dimensional numbers, got shape {values.shape}")
+    if numeric:
+        return values, None
+    flat = values.ravel().tolist()
+    if not all(map(_exact_type, set(map(type, flat)))):
+        return values.astype(np.float64), None
+    return values.astype(np.float64), [v if isinstance(v, Fraction) else Fraction(v) for v in flat]
 
 
 class MetricSpace:
@@ -80,8 +93,10 @@ class MetricSpace:
 
     Construct with either ``matrix`` (stored symmetric distances) or
     ``block_fn`` (a pure broadcasting callable ``(i, j) -> float array`` for
-    lazily derived distances).  All operations are pure; instances are safe
-    to share across workers.
+    lazily derived distances).  A numeric numpy array is taken as float64;
+    a space is exact when its masses and matrix are Python numbers or object
+    arrays, every value an int or a Fraction.  All operations are pure;
+    instances are safe to share across workers.
     """
 
     def __init__(
@@ -94,35 +109,20 @@ class MetricSpace:
         if (matrix is None) == (block_fn is None):
             raise ValueError("exactly one of matrix/block_fn is required")
         self.label = label
-
-        mass_list = list(np.asarray(mass).tolist()) if isinstance(mass, np.ndarray) else list(mass)
-        if len(mass_list) == 0:
+        self.mass, mass_exact = _intake(mass, 1)
+        if self.mass.size == 0:
             raise ValueError("a metric space needs at least one point")
-        self.npoints = len(mass_list)
-
-        mass_rational = all(_is_exact(m) for m in mass_list)
-
-        self.matrix_exact = None
-        self.matrix = None
+        self.npoints = self.mass.size
+        self.matrix, matrix_exact = _intake(matrix, 2) if matrix is not None else (None, None)
+        if matrix is not None and self.matrix.shape != (self.npoints, self.npoints):
+            raise ValueError("distance matrix must be square and match the point count")
         self._block_fn = block_fn
-        if matrix is not None:
-            if isinstance(matrix, np.ndarray) and matrix.dtype != object:
-                rows = None
-                self.matrix = np.asarray(matrix, dtype=np.float64)
-            else:
-                rows = [list(r) for r in matrix]
-                if any(len(r) != self.npoints for r in rows) or len(rows) != self.npoints:
-                    raise ValueError("distance matrix must be square and match the point count")
-            if rows is not None:
-                if mass_rational and all(_is_exact(d) for r in rows for d in r):
-                    self.matrix_exact = tuple(tuple(map(_fraction, r)) for r in rows)
-                self.matrix = np.array([[float(d) for d in r] for r in rows], dtype=np.float64)
-            if self.matrix.shape != (self.npoints, self.npoints):
-                raise ValueError("distance matrix must be square and match the point count")
-
-        self.exact = self.matrix_exact is not None
-        self.mass_exact = tuple(map(_fraction, mass_list)) if self.exact else None
-        self.mass = np.array([float(m) for m in mass_list], dtype=np.float64)
+        self.exact = mass_exact is not None and matrix_exact is not None
+        self.mass_exact = self.matrix_exact = None
+        if self.exact:
+            n = self.npoints
+            self.mass_exact = tuple(mass_exact)
+            self.matrix_exact = tuple(tuple(matrix_exact[i : i + n]) for i in range(0, n * n, n))
         self.cum_mass = np.cumsum(self.mass)
 
     @cached_property
@@ -174,9 +174,11 @@ class MetricSpace:
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed axiom: ``magnitude`` is its size, a Fraction on exact spaces."""
+
     kind: str
     witness: tuple
-    magnitude: float
+    magnitude: Number
 
 
 @dataclass(frozen=True)
@@ -190,15 +192,17 @@ class ValidationReport:
         return not self.violations
 
 
-def _magnitude(value, scale) -> float:
-    """A violation's size as a float, from a distance (difference) times ``scale``."""
-    return float(Fraction(int(value), scale)) if scale != 1 else float(value)
+def _magnitude(value, scale):
+    """A violation's size from a distance (difference) times ``scale``: the
+    exact Fraction, or a float where ``scale`` is None (a float space)."""
+    return float(value) if scale is None else Fraction(int(value), scale)
 
 
 def _triangle_scan(matrix: np.ndarray, tol, scale):
     """Scan all triples for d(i,k) > d(i,j) + d(j,k) + tol over ``matrix``
-    (the distances times ``scale``); report at most 8 witnesses per j and
-    stop once more than 64 are reported, when the check has already failed."""
+    (the distances times ``scale``, None on a float space); report at most
+    8 witnesses per j and stop once more than 64 are reported, when the
+    check has already failed."""
     found = []
     for j in range(matrix.shape[0]):
         excess = matrix - (matrix[:, j][:, None] + matrix[j][None, :])
@@ -234,10 +238,10 @@ def validate(
     if space.exact:
         for i, m in enumerate(space.mass_exact):
             if m < 0:
-                violations.append(Violation("mass-negative", (i,), float(m)))
+                violations.append(Violation("mass-negative", (i,), m))
         total = sum(space.mass_exact)
         if total != 1:
-            violations.append(Violation("mass-sum", (), float(total - 1)))
+            violations.append(Violation("mass-sum", (), total - 1))
     else:
         for i in np.nonzero(space.mass < 0)[0][:16]:
             violations.append(Violation("mass-negative", (int(i),), float(space.mass[i])))
@@ -248,7 +252,7 @@ def validate(
     checked = 0
     exhaustive = True
     if space.matrix is not None:
-        mat, scale, tol = space.matrix, 1, _FLOAT_TRIANGLE_TOL
+        mat, scale, tol = space.matrix, None, _FLOAT_TRIANGLE_TOL
         if space.exact:
             _, _, mat, scale = space.scaled
             tol = 0
@@ -287,14 +291,14 @@ def validate(
             violations.append(Violation("negative-distance", (int(a[idx]), int(b[idx])), float(dab[idx])))
         exhaustive = False
         checked = triangle_samples
-        violations.extend(_sampled_triangle(npts, space.dist_block, _FLOAT_TRIANGLE_TOL, 1, triangle_samples))
+        violations.extend(_sampled_triangle(npts, space.dist_block, _FLOAT_TRIANGLE_TOL, None, triangle_samples))
 
     return ValidationReport(tuple(violations), checked, exhaustive)
 
 
 def _sampled_triangle(npoints: int, dist_block, tol, scale, samples: int):
     """Check a fixed-seed sample of triples for d(a,c) > d(a,b) + d(b,c) + tol
-    over ``dist_block`` (the distances times ``scale``)."""
+    over ``dist_block`` (the distances times ``scale``, None on a float space)."""
     rng = np.random.default_rng([0, npoints, 13])
     out = []
     remaining = samples
@@ -314,34 +318,13 @@ def _sampled_triangle(npoints: int, dist_block, tol, scale, samples: int):
     return out
 
 
-def social_cost(space: MetricSpace, location: int):
-    """Mass-weighted sum of distances from all points to ``location``."""
-    if not 0 <= location < space.npoints:
-        raise IndexError(f"location {location} out of range for P={space.npoints}")
-    if space.exact:
-        _, mass_scale, _, scale = space.scaled
-        return Fraction(space.scaled_costs[location], mass_scale * scale)
-    if space.matrix is not None:
-        return float(space.costs[location])
-    from .elections import _derived_costs  # elections imports this module
-    return float(_derived_costs(space, [location])[0])
-
-
-def one_median(space: MetricSpace) -> int:
-    """Index minimizing social cost; ties broken by lowest index."""
-    if space.matrix is None:
-        from .elections import _derived_costs
-        return int(np.argmin(_derived_costs(space, range(space.npoints))))
-    return int(np.argmin(space.scaled_costs if space.exact else space.costs))  # exact: scaled ints
-
-
 def outside_mass(space: MetricSpace, center: int, r):
     """Mass strictly outside the closed ball of radius ``r`` around ``center``."""
     if not 0 <= center < space.npoints:
         raise IndexError(f"location {center} out of range for P={space.npoints}")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if space.exact and _is_exact(r):
+    if space.exact and _exact_type(type(r)):
         mass, mass_scale, matrix, scale = space.scaled
         return 1 - Fraction(mass[matrix[center] <= r * scale].sum(), mass_scale)
     d = space.distances_from(center)
@@ -394,20 +377,18 @@ def save_space(space: MetricSpace, path) -> None:
 
 def _coords_matrix(coords, metric: str, line: int):
     npts = len(coords)
-    exact = all(_is_exact(v) for row in coords for v in row)
+    pts, exact = _intake(coords, 2)
     if metric == "L2":
-        pts = np.array([[float(v) for v in row] for row in coords])
         diff = pts[:, None, :] - pts[None, :, :]
         return np.sqrt((diff**2).sum(axis=2))
     if metric not in ("L1", "Linf"):
         raise SpaceFormatError(f"unknown metric {metric!r} (expected L1, L2, or Linf)", line)
     agg = sum if metric == "L1" else max
-    if exact:
+    if exact is not None:
         return [
             [agg(abs(a - b) for a, b in zip(coords[i], coords[j])) if i != j else Fraction(0) for j in range(npts)]
             for i in range(npts)
         ]
-    pts = np.array([[float(v) for v in row] for row in coords])
     diff = np.abs(pts[:, None, :] - pts[None, :, :])
     return diff.sum(axis=2) if metric == "L1" else diff.max(axis=2)
 

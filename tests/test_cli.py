@@ -217,6 +217,24 @@ def test_election_needs_slate_or_n(line_file):
     assert code == 2
 
 
+def test_election_slate_and_n_exclude_each_other(capsys, line_file):
+    code, out = run_cli("election", "--space", line_file, "--family", "borda",
+                        "--slate", "0,1", "--n", "3", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "argument --n: not allowed with argument --slate" in capsys.readouterr().err
+
+
+def test_validate_prints_exact_sizes_exactly(tmp_path):
+    # an exact file's violation sizes print as rationals, a float file's as before
+    for body, size in (("mass 1/3 1/3 1/3\nmatrix\n1/3\n1 1/3\n", "1/3"),
+                       ("mass 0.25 0.25 0.5\nmatrix\n0.25\n1.0 0.25\n", "0.5")):
+        path = tmp_path / "bad.space"
+        path.write_text("version 1\npoints 3\n" + body)
+        code, out = run_cli("validate", "--space", str(path))
+        assert code == 3
+        assert out.splitlines()[2] == f"violation kind=triangle witness=(0, 1, 2) magnitude={size}"
+
+
 def test_invalid_space_file_rejected(tmp_path):
     bad = tmp_path / "bad.space"
     bad.write_text("version 1\npoints 2\nmass 0.9 0.2\nmatrix\n1\n")

@@ -221,7 +221,7 @@ def test_histogram_consistency(line_space):
 def test_infinite_trials_excluded_from_mean():
     dstr = np.array([1.0, 2.0, math.inf, 3.0])
     wdist = np.array([0.0, 1.0, 5.0, 1.0])
-    est = _summarize(dstr, wdist, [0.0, 1.0, 5.0], trial_start=0)
+    est = _summarize(dstr, wdist, [0.0, 1.0, 5.0], n=2, seed=0, trial_start=0)
     assert est.infinite_flag_count == 1
     assert est.mean == 2.0
     assert est.trials == 4
@@ -258,7 +258,7 @@ def test_histogram_is_the_share_at_or_beyond_each_knot():
     rng = np.random.default_rng(3)
     wdist = rng.integers(0, 6, 257) / 4.0  # many ties, some knots never hit
     knots = np.arange(0, 9) / 4.0
-    est = _summarize(np.ones(wdist.size), wdist, knots, trial_start=0)
+    est = _summarize(np.ones(wdist.size), wdist, knots, n=2, seed=0, trial_start=0)
     want = tuple((float(r), float(np.mean(wdist >= r))) for r in knots)
     assert est.winner_distance_histogram == want
 
@@ -335,7 +335,7 @@ def test_estimate_winner_distances_feed_the_probe():
     space = random_space(8, 20, "uniform-box-L2")
     est = estimate_distortion(space, Veto(), 8, 120, 4, jobs=2)
     probe = sufficiency_probe(space, Veto(), 8, 120, 4, 0.6)
-    assert probe_estimate(space, est, 8, 4, 0.6) == probe
+    assert probe_estimate(space, est, 0.6) == probe
 
 
 def test_probe_of_an_offset_estimate_counts_its_own_slates():
@@ -344,11 +344,23 @@ def test_probe_of_an_offset_estimate_counts_its_own_slates():
     space = random_space(8, 20, "uniform-box-L2")
     whole, head, tail = (estimate_distortion(space, Veto(), 8, count, 4, trial_start=start)
                          for start, count in ((0, 120), (0, 45), (45, 75)))
-    probes = [probe_estimate(space, est, 8, 4, 0.6) for est in (whole, head, tail)]
+    probes = [probe_estimate(space, est, 0.6) for est in (whole, head, tail)]
     assert probes[2].trials == 75
     for name in ("event_counts", "winner_outside_counts", "violation_counts"):
         counts = [getattr(probe, name) for probe in probes]
         assert counts[0] == tuple(a + b for a, b in zip(counts[1], counts[2])), name
+
+
+def test_an_estimate_carries_its_own_n_and_seed():
+    # the probe redraws the estimate's own slates, and merging refuses runs
+    # of another n or seed
+    space = random_space(8, 20, "uniform-box-L2")
+    est = estimate_distortion(space, Veto(), 8, 50, 4)
+    assert (est.n, est.seed) == (8, 4)
+    assert probe_estimate(space, est, 0.6) == sufficiency_probe(space, Veto(), 8, 50, 4, 0.6)
+    for n, seed in ((6, 4), (8, 5)):
+        with pytest.raises(ValueError, match="different n or seed"):
+            merge_estimates(est, estimate_distortion(space, Veto(), n, 30, seed, trial_start=50))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**63 + 12345, 2**64 - 1])

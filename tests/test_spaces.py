@@ -1,5 +1,8 @@
+import ast
 import math
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,17 +70,20 @@ def _line301_far_end_too_long():
     return MetricSpace([F(1, 301)] * 301, matrix=rows)
 
 
-@pytest.mark.parametrize("make, kind", [
+@pytest.mark.parametrize("make, kind, size", [
     # each excess is lost when the entry is rounded to a float
-    (lambda: MetricSpace([F(1, 2)] * 2, matrix=[[0, F(1, 3)], [F(1, 3) + F(1, 2**60), 0]]), "asymmetry"),
-    (lambda: MetricSpace([F(1, 2)] * 2, matrix=[[F(1, 2**1100), 1], [1, 0]]), "diagonal"),
+    (lambda: MetricSpace([F(1, 2)] * 2, matrix=[[0, F(1, 3)], [F(1, 3) + F(1, 2**60), 0]]), "asymmetry",
+     F(-1, 2**60)),
+    (lambda: MetricSpace([F(1, 2)] * 2, matrix=[[F(1, 2**1100), 1], [1, 0]]), "diagonal", F(1, 2**1100)),
     # 301 points exceed the triple cap, so the triangles are sampled
-    (_line301_far_end_too_long, "triangle"),
+    (_line301_far_end_too_long, "triangle", F(1, 2**50)),
 ], ids=["asymmetry", "diagonal", "triangle"])
-def test_exact_validation_sees_what_floats_round_away(make, kind):
+def test_exact_validation_sees_what_floats_round_away(make, kind, size):
     report = validate(make())
     assert not report.ok
     assert {v.kind for v in report.violations} == {kind}
+    # and reports each violation's exact size, which no float may round
+    assert all(type(v.magnitude) is F and v.magnitude == size for v in report.violations)
 
 
 def test_mass_sum_violation():
@@ -266,6 +272,63 @@ def test_exact_entries_are_kept():
     space = MetricSpace([half, 1 - half], matrix=[[0, far], [far, 0]])
     assert space.mass_exact[0] is half and space.matrix_exact[0][1] is far
     assert space.matrix_exact[0][0] == 0 and isinstance(space.matrix_exact[0][0], F)
+
+
+_EXACT_MASS = [F(1, 2), 0, F(1, 2)]
+_EXACT_ROWS = [[0, F(1, 3), 2], [F(1, 3), 0, F(5, 3)], [2, F(5, 3), 0]]
+
+
+@pytest.mark.parametrize("mass, matrix, exact", [
+    (_EXACT_MASS, _EXACT_ROWS, True),
+    (tuple(_EXACT_MASS), tuple(map(tuple, _EXACT_ROWS)), True),
+    (np.array(_EXACT_MASS, dtype=object), np.array(_EXACT_ROWS, dtype=object), True),
+    (_EXACT_MASS, [[0, F(1, 3), 2.0], [F(1, 3), 0, F(5, 3)], [2.0, F(5, 3), 0]], False),
+    ([0.5, 0, F(1, 2)], _EXACT_ROWS, False),
+    (np.array(_EXACT_MASS, dtype=np.float64), _EXACT_ROWS, False),
+    (_EXACT_MASS, np.array(_EXACT_ROWS, dtype=np.float64), False),
+    ([True, 0, 0], _EXACT_ROWS, False),
+    (np.array([1, 0, 0]), _EXACT_ROWS, False),
+], ids=["lists", "tuples", "object-arrays", "a-float-distance", "a-float-mass", "float-mass-array",
+        "float-matrix-array", "bool-mass", "int-mass-array"])
+def test_intake_exactness_and_float_bits(mass, matrix, exact):
+    # a space is exact when every mass and distance is an int or a Fraction
+    # given as Python numbers or in an object array; a numeric numpy array,
+    # int dtype included, is float64; the floats are each value's float
+    space = MetricSpace(mass, matrix=matrix)
+    assert space.exact is exact
+    assert space.mass.tobytes() == np.array([float(m) for m in mass]).tobytes()
+    assert space.matrix.tobytes() == np.array([[float(d) for d in row] for row in matrix]).tobytes()
+    if exact:
+        assert space.mass_exact == tuple(map(F, mass))
+        assert space.matrix_exact == tuple(tuple(map(F, row)) for row in matrix)
+        assert all(type(d) is F for d in space.mass_exact + sum(space.matrix_exact, ()))
+
+
+def test_float_mass_array_is_taken_as_given():
+    # a 2^20-point float64 mass array makes no Python float per location:
+    # the build holds the array and its cumulative sum, nothing more
+    mass = np.full(1 << 20, 1.0 / (1 << 20))
+    tracemalloc.start()
+    try:
+        space = MetricSpace(mass, block_fn=lambda i, j: np.abs(i - j).astype(float))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.npoints == 1 << 20 and not space.exact
+    assert peak < 3 * mass.nbytes
+
+
+def test_no_import_inside_a_function():
+    # imports sit at the top of each module, so the module graph is the one
+    # the import lines state: spaces needs no other module of the package
+    for path in sorted(Path(__file__).parents[1].glob("src/metricvoting/*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [node for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{path.name}: {func.name} imports inside its body"
+        if path.name == "spaces.py":
+            assert not [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
 
 
 def test_random_space_bad_args():

@@ -7,17 +7,18 @@ optimum, and distortion.  One kernel elects on float64 arrays or, on exact
 spaces, on exact Python ints: masses, distances and scores times the LCMs of
 their denominators, which are divided out into Fractions at the end.
 
-The kernel streams the locations through pass-sized buffers: each pass is
-hashed and ranked, and its scores (and a derived space's costs) join its
-summation block's sums in location order; the blocks are then added in
-order, so passes change no output bit and an election holds a few MiB.
+The kernel streams the locations in passes: each pass is looked up and
+ranked, and its scores (and a derived space's costs) join its summation
+block's sums in location order; the blocks are then added in order, so
+passes change no output bit and an election holds a few MiB.
 
 Every ranking is the stable argsort's, bit for bit.  Plurality needs only
-the first-index argmin.  Float rows of 32 to 4096 candidates are ranked by
-one in-place integer sort of packed keys (a distance's bits with the
-candidate index in its low bits, ``_key_rank``); the few rows whose keys
-cannot prove their order, and every exact, narrower or wider row, take the
-stable argsort.
+the first-index argmin.  Stored spaces read no distance: their elections
+sort exact keys, a distance's dense rank (``MetricSpace.ranks``) above the
+candidate index.  A derived space's float rows of 32 to 4096 candidates
+sort packed keys too (a distance's bits with the candidate index in its low
+bits, ``_key_rank``); the rows whose keys cannot prove their order, and
+every narrower or wider row, take the stable argsort.
 
 ``brute_force_outcome`` is a deliberately naive second implementation kept
 free of any shared ranking/scoring code; it exists so the fast path can be
@@ -29,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .scoring import ScoringVector, parse_family
-from .spaces import MetricSpace, _scaled_integers, random_space
+from .spaces import MetricSpace, _int_dtype, _scaled_integers, random_space
 
 #: fixed summation block: scores and costs are summed over blocks of this
 #: many locations, so no other setting can change the output bits
@@ -44,13 +46,11 @@ _CHUNK_ROWS = 65536
 #: a pass stays in cache, and changes no output bit (at 2^15 the
 #: two-cluster elections ran 5-8% slower)
 _PASS_ELEMENTS = 1 << 17
-#: candidates per slate ranked by packed keys (``_key_rank``); fewer or
-#: more take the stable argsort.  On stored spaces of a few dozen points
-#: nearly every row holds duplicate candidates, whose tied keys must be
-#: checked: per 2^17-element pass on 20 points, keys took 2.2 ms against
-#: the argsort's 1.8 at n = 8, broke even at n = 16, and at
-#: n = 32 to 128 took 0.5-0.7 of its time.  Above 2^12 too many
-#: distance bits would be cleared
+#: candidates per slate whose float distances (derived spaces only) are
+#: ranked by packed keys (``_key_rank``); fewer or more take the stable
+#: argsort.  Set on small stored spaces, where duplicate candidates made
+#: the checked keys slower than the argsort below n = 16; those now rank
+#: dense integer ranks.  Above 2^12 too many distance bits would be cleared
 _KEY_MIN_N = 32
 _KEY_MAX_N = 1 << 12
 #: +inf's float64 bits: a row whose largest key reaches them holds +inf, a
@@ -118,11 +118,19 @@ def _rank(dist: np.ndarray, order: np.ndarray) -> None:
     """Fill ``order`` (int64, C-contiguous, the shape of ``dist``) with each
     row of ``dist`` ranked along the last axis by (distance, candidate
     index), as the stable argsort ranks it; an ``order`` one column wide
-    gets the top choice alone, the first-index argmin."""
+    gets the top choice alone, the first-index argmin.  Integer ``dist``
+    holds dense ranks: rank << b | index keys are unique and exact."""
     if order.shape[-1] == 1:
         np.argmin(dist, axis=-1, keepdims=True, out=order)
         return
     n = dist.shape[-1]
+    if dist.dtype.kind == "i":
+        bits = (n - 1).bit_length()
+        keys = np.left_shift(dist, bits, dtype=_int_dtype(int(dist.max()) << bits | (n - 1)))
+        keys |= np.arange(n, dtype=keys.dtype)
+        keys.sort(axis=-1)
+        np.bitwise_and(keys, (1 << bits) - 1, out=order)
+        return
     dist, order = dist.reshape(-1, n), order.reshape(-1, n)
     rows = slice(None)
     if dist.dtype == np.float64 and _KEY_MIN_N <= n <= _KEY_MAX_N:
@@ -168,12 +176,18 @@ def _key_rank(dist: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _kernel_space(space: MetricSpace, exact: bool):
-    """(distance lookup, masses, location costs) for the kernel: float64, or
-    ``space.scaled`` and ``space.scaled_costs``; derived spaces have no costs."""
-    if not exact:
-        return space.dist_block, space.mass, space.costs
-    mass, _, matrix, _ = space.scaled
-    return (lambda i, j: matrix[i, j]), mass, space.scaled_costs
+    """(lookup, masses, location costs) for the kernel: ``lookup(lo, hi, cols)``
+    gives locations lo..hi-1 against candidate locations ``cols``, a stored
+    space's dense ranks (float, or exact with ``scaled`` masses and costs)
+    or a derived space's float64 distances, which have no costs."""
+    if space.matrix is None:
+        def lookup(lo, hi, cols):
+            return np.asarray(space.dist_block(np.arange(lo, hi)[:, None], cols[None]), np.float64)
+        return lookup, space.mass, None
+    if exact:
+        return (lambda lo, hi, cols: space.scaled_ranks[lo:hi].take(cols, axis=1),
+                space.scaled[0], space.scaled_costs)
+    return (lambda lo, hi, cols: space.ranks[lo:hi].take(cols, axis=1)), space.mass, space.costs
 
 
 def _batch_step(npoints, n):
@@ -182,27 +196,25 @@ def _batch_step(npoints, n):
     return max(1, _PASS_ELEMENTS // (npoints * n))
 
 
-def _ranked_passes(dist_block, mass: np.ndarray, slates: np.ndarray, top_only: bool = False):
-    """Yield (rows, dist, order) per pass over all locations for a (T, n)
-    stack of slates: dist[i, t] holds the distances from location
-    rows.start + i to slate t's candidates, in the dtype of ``mass``, and
+def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = False):
+    """Yield (rows, dist, order) per pass over all ``npoints`` locations for
+    a (T, n) stack of slates: dist[i, t] holds ``lookup``'s distances (or
+    ranks) from location rows.start + i to slate t's candidates, and
     order[i, t] ranks them by (distance, candidate index), or is only its
     first column when ``top_only``.  A pass of at most ``_PASS_ELEMENTS``
     elements (at least one location) never crosses a summation block's
-    end; dist and order are views of buffers the next pass overwrites."""
-    npoints = mass.size
+    end; order is a view of a buffer the next pass overwrites."""
     count, n = slates.shape
-    cols = slates.reshape(1, -1)
+    cols = slates.ravel()
     step = min(max(1, _PASS_ELEMENTS // slates.size), _CHUNK_ROWS, npoints)
-    dist = np.empty((step, count, n), mass.dtype)
     order = np.empty((step, count, 1 if top_only else n), dtype=np.int64)
     for start in range(0, npoints, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, npoints)
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
-            dist[: hi - lo].reshape(hi - lo, -1)[...] = dist_block(np.arange(lo, hi)[:, None], cols)
-            _rank(dist[: hi - lo], order[: hi - lo])
-            yield slice(lo, hi), dist[: hi - lo], order[: hi - lo]
+            dist = lookup(lo, hi, cols).reshape(hi - lo, count, n)
+            _rank(dist, order[: hi - lo])
+            yield slice(lo, hi), dist, order[: hi - lo]
 
 
 def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
@@ -210,8 +222,8 @@ def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
     (distance, candidate index) ascending."""
     slate = _checked_slate(space, slate)
     table = np.empty((space.npoints, slate.size), dtype=np.int64)
-    dist_block, mass, _ = _kernel_space(space, space.exact)
-    for rows, _, order in _ranked_passes(dist_block, mass, slate[None]):
+    lookup, _, _ = _kernel_space(space, space.exact)
+    for rows, _, order in _ranked_passes(lookup, space.npoints, slate[None]):
         table[rows] = order[:, 0]
     return table
 
@@ -249,24 +261,25 @@ def run_election(
     return _outcome(scores, costs, int(winners[0]), int(optima[0]))
 
 
-def _elect(dist_block, mass, costs, scores, slates):
-    """Elections of a (T, n) stack of slates, on ``mass``, ``dist_block(i, j)``
-    and ``scores`` all float64 or all exact Python ints (dtype object):
+def _elect(lookup, mass, costs, scores, slates):
+    """Elections of a (T, n) stack of slates ranked by ``lookup``, on ``mass``
+    and ``scores`` both float64 or both exact Python ints (dtype object):
     scores and costs (T, n), winners and optima (T,).  A candidate's cost is
     its location's entry of ``costs``, or, when that is None (a derived
     space), its distances summed here in the order of its score's terms."""
     count, n = slates.shape
     dtype = mass.dtype
-    blocks = []  # each summation block's scores and costs, summed from zero
+    sums = 1 if costs is not None else 2  # scores, and a derived space's costs
+    blocks = []  # each summation block's sums, from zero
     # a vector that scores only the top choice (plurality) needs column 0 of
     # the ranking alone: the dropped terms are +0.0, so every bit is kept
     width = n if (scores[1:] != 0).any() else 1
     # slate t's candidates are bins t*n .. t*n + n - 1, and a pass is laid
     # out (location, slate, candidate): each bin sums in location order
     offsets = np.arange(0, count * n, n)[:, None]
-    for rows, dist, order in _ranked_passes(dist_block, mass, slates, width == 1):
+    for rows, dist, order in _ranked_passes(lookup, mass.size, slates, width == 1):
         if rows.start % _CHUNK_ROWS == 0:
-            blocks.append(np.zeros((2, count * n), dtype))
+            blocks.append(np.zeros((sums, count * n), dtype))
         block = blocks[-1]
         if count > 1:  # a lone slate's offset is 0
             order += offsets
@@ -275,9 +288,9 @@ def _elect(dist_block, mass, costs, scores, slates):
         np.add.at(block[0], order.ravel(), weights.ravel())
         if costs is None:
             block[1] = _location_sum(block[1], mass[rows], dist.reshape(len(dist), -1))
-    totals, summed = sum(blocks).reshape(2, count, n)  # block by block
-    costs = summed if costs is None else costs[slates]
-    return totals, costs, totals.argmax(axis=1), costs.argmin(axis=1)
+    totals = reduce(np.add, blocks).reshape(sums, count, n)  # block by block
+    costs = totals[1] if costs is None else costs[slates]
+    return totals[0], costs, totals[0].argmax(axis=1), costs.argmin(axis=1)
 
 
 def _location_sum(partial, mass, dist):
@@ -295,13 +308,13 @@ def _location_costs(space: MetricSpace, locations) -> np.ndarray:
     exact spaces, see ``_kernel_space``), summed as elections sum them: on a
     derived space as one-candidate elections, at most ``_DERIVED_MEDIAN_CAP``."""
     locations = np.asarray(locations, dtype=np.int64)
-    dist_block, mass, costs = _kernel_space(space, space.exact)
+    lookup, mass, costs = _kernel_space(space, space.exact)
     if costs is not None:
         return costs[locations]
     if locations.size > _DERIVED_MEDIAN_CAP:
         raise ValueError(f"derived-distance costs are capped at {_DERIVED_MEDIAN_CAP} locations")
     step = _batch_step(space.npoints, 1)
-    return np.concatenate([_elect(dist_block, mass, None, np.ones(1), locations[lo : lo + step, None])[1][:, 0]
+    return np.concatenate([_elect(lookup, mass, None, np.ones(1), locations[lo : lo + step, None])[1][:, 0]
                            for lo in range(0, locations.size, step)])
 
 

@@ -190,7 +190,7 @@ def exact_expected_distortion(space: MetricSpace, family: RuleFamily, n: int):
     npts = space.npoints
     if npts**n > _ENUMERATION_CAP:
         raise ValueError(f"P^n = {npts**n} exceeds enumeration cap {_ENUMERATION_CAP}")
-    dist_block, mass, _ = _kernel_space(space, space.exact)
+    lookup, mass, _ = _kernel_space(space, space.exact)
     cost = _location_costs(space, range(npts))
     vector = family.score_vector(n)
     scores = _scaled_integers(vector.scores)[0] if space.exact else vector.float_scores
@@ -201,7 +201,7 @@ def exact_expected_distortion(space: MetricSpace, family: RuleFamily, n: int):
     step = _batch_step(npts, n)
     for lo in range(0, npts**n, step):
         slates = np.stack(np.unravel_index(np.arange(lo, min(lo + step, npts**n)), (npts,) * n), axis=1)
-        _, _, winners, optima = _elect(dist_block, mass, cost, scores, slates)
+        _, _, winners, optima = _elect(lookup, mass, cost, scores, slates)
         rows = np.arange(len(slates))
         keys = slates[rows, winners] * npts + slates[rows, optima]
         for key, prob in zip(keys.tolist(), mass[slates].prod(axis=1).tolist()):

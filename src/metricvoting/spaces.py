@@ -141,6 +141,23 @@ class MetricSpace:
         return np.einsum("i,ij->j", mass, matrix)
 
     @cached_property
+    def ranks(self):
+        """Each stored distance's dense rank among the distinct ones, in
+        ``np.unique`` order (-0.0 ties +0.0, +inf ties +inf, NaNs tie and
+        rank last) and the smallest signed int dtype that holds it: an
+        election's order of candidates, without distances."""
+        distinct, ranks = np.unique(self.matrix, return_inverse=True)
+        return ranks.reshape(self.matrix.shape).astype(_int_dtype(distinct.size - 1))
+
+    @cached_property
+    def scaled_ranks(self):
+        """``ranks`` of an exact space's scaled distances (``scaled``), which
+        keep apart the Fractions that round to one float."""
+        flat = self.scaled[2].ravel().tolist()
+        rank = {d: r for r, d in enumerate(sorted(set(flat)))}
+        return np.array([rank[d] for d in flat], _int_dtype(len(rank) - 1)).reshape(self.npoints, -1)
+
+    @cached_property
     def scaled(self):
         """(mass, mass scale, matrix, distance scale): an exact space's masses
         and distances times the LCMs of their denominators (``_scaled_integers``)."""
@@ -211,6 +228,12 @@ def _triangle_scan(matrix: np.ndarray, tol, scale):
         if len(found) > 64:
             break
     return found
+
+
+def _int_dtype(top: int) -> np.dtype:
+    """The smallest signed int dtype that holds 0..``top``: the smallest
+    that holds -top - 1."""
+    return np.min_scalar_type(-top - 1)
 
 
 def _scaled_integers(values):

@@ -590,3 +590,99 @@ def test_only_float_rows_in_the_key_range_take_keys(monkeypatch, n, dtype, keyed
         dist = ticks / 4.0
     assert np.array_equal(_ranked(dist), np.argsort(dist, axis=-1, kind="stable"))
     assert len(repaired) == int(keyed)
+
+
+# stored spaces: elections rank the dense ranks of the distances
+
+# each draws one distance: dyadic values tie between distinct points
+_STORED = st.one_of(st.integers(0, 6).map(lambda k: k / 8), st.sampled_from([0.0, -0.0, math.inf]))
+
+
+def _same(a, b):  # outcomes equal, a NaN distortion (inf / inf) equal to itself
+    return repr(a) == repr(b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_stored_rankings_and_elections_follow_the_distances(data):
+    npts = data.draw(st.integers(1, 6))
+    values = data.draw(st.lists(_STORED, min_size=npts * npts, max_size=npts * npts))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=npts, max_size=npts))
+    if data.draw(st.booleans()):  # exact: the same values, infinities made 2
+        rows = [[F(v) if math.isfinite(v) else F(2) for v in values[i : i + npts]]
+                for i in range(0, npts * npts, npts)]
+        space = MetricSpace([F(w, sum(weights)) for w in weights], matrix=rows)
+        dist = np.array(rows, dtype=object)
+    else:
+        dist = np.array(values).reshape(npts, npts)
+        space = MetricSpace(np.array(weights) / 8.0, matrix=dist)
+    n = data.draw(st.integers(1, 40))
+    slate = data.draw(st.lists(st.integers(0, npts - 1), min_size=n, max_size=n))
+    assert np.array_equal(rankings(space, slate), np.argsort(dist[:, slate], axis=-1, kind="stable"))
+    vec = parse_family(data.draw(st.sampled_from(_SIX_FAMILIES))).score_vector(n)
+    assert _same(run_election(space, slate, vec), brute_force_outcome(space, slate, vec))
+
+
+def test_exact_ranks_keep_apart_what_floats_round_together():
+    # d(0, 1) = 1 and d(0, 2) = 1 + 2^-60 are one float: the exact kernel
+    # ranks them apart, the float path (every estimate) ties them by index
+    rows = [[F(0), F(1), 1 + F(1, 2**60)], [F(1), F(0), F(1)], [1 + F(1, 2**60), F(1), F(0)]]
+    space = MetricSpace([F(1, 2), F(1, 8), F(3, 8)], matrix=rows)
+    assert space.ranks[0, 1] == space.ranks[0, 2] and space.scaled_ranks[0, 1] < space.scaled_ranks[0, 2]
+    assert rankings(space, [2, 1])[0].tolist() == [1, 0]
+    vec = Plurality().score_vector(2)
+    exact, floated = run_election(space, [2, 1], vec), run_election(space, [2, 1], vec, exact=False)
+    assert (exact.winner, floated.winner) == (1, 0) and floated.distortion == 1.0 < exact.distortion
+    est = montecarlo.estimate_distortion(space, Plurality(), 2, 64, 3)
+    tied = 0
+    for t in range(64):
+        slate = montecarlo.sample_candidates(space, 2, 3, t)
+        assert est.distortions[t] == run_election(space, slate, vec, exact=False).distortion
+        tied += slate.tolist() == [2, 1]
+    assert tied  # some trial elects the slate whose exact winner differs
+
+
+def _spy_calls(monkeypatch):
+    calls = []
+
+    def spy(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(MetricSpace, "dist_block", spy("dist_block", MetricSpace.dist_block))
+    monkeypatch.setattr(elections, "_key_rank", spy("_key_rank", elections._key_rank))
+    return calls
+
+
+@pytest.mark.parametrize("source", ["float", "exact", "derived"])
+def test_only_derived_elections_read_distances(monkeypatch, source):
+    space = random_space(5, 20, "iid-unit-interval-distances" if source == "exact" else "uniform-box-L2")
+    if source == "derived":
+        space = _derived_copy(space)
+    calls = _spy_calls(monkeypatch)
+    slate = montecarlo.sample_candidates(space, 40, 1, 0)
+    run_election(space, slate, Borda().score_vector(40))
+    rankings(space, slate)
+    montecarlo.estimate_distortion(space, Borda(), 40, 8, 1)
+    if source == "derived":
+        assert {"dist_block", "_key_rank"} <= set(calls)
+    else:
+        assert calls == []
+
+
+def test_stored_plurality_follows_rankings_past_nan():
+    # reachable only unvalidated: NaN ranks last, as rankings() puts it, so
+    # the voter at 0 votes for the candidate at 2, not the NaN at 1
+    nan = math.nan
+    space = MetricSpace(np.array([0.5, 0.25, 0.25]),
+                        matrix=np.array([[0.0, nan, 1.0], [nan, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    assert space.ranks.dtype == np.int8 and space.ranks[0, 1] == space.ranks[1, 0] == space.ranks.max()
+    slate = [1, 2]
+    table = rankings(space, slate)
+    assert table[0].tolist() == [1, 0]
+    scores = np.zeros(2)
+    np.add.at(scores, table[:, 0], space.mass)
+    out = run_election(space, slate, Plurality().score_vector(2))
+    assert out.scores == tuple(scores) == (0.25, 0.75) and out.winner == 1

@@ -12,6 +12,8 @@ Two primitives back everything randomized:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 U64 = np.uint64
@@ -71,15 +73,25 @@ def key_uniform(word: np.uint64, key: np.ndarray, scratch: np.ndarray):
     return key * _INV53
 
 
+@functools.cache
+def _unseeded():
+    """Zero seed words, for a bit generator whose state is set before use;
+    made on first use, as importing ``numpy.random`` takes some 6 MB."""
+    class Unseeded(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+    return Unseeded()
+
+
 def trial_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     """(count, n) uniforms: row i is ``Generator(Philox(key=k)).random(n)``
     bit for bit, for the uint64 key words k = (seed, start + i).  One bit
-    generator is re-keyed per trial by setting its state, which skips the
-    OS-entropy ``SeedSequence`` that ``Philox(key=...)`` builds.  A seed or
-    trial index outside [0, 2^64) is refused, never wrapped."""
+    generator, built from ``_unseeded()`` rather than a ``SeedSequence``, is
+    re-keyed per trial by setting its state.  A seed or trial index outside
+    [0, 2^64) is refused, never wrapped."""
     if not (0 <= seed <= _MASK and 0 <= start and start + count - 1 <= _MASK):
         raise ValueError(f"seed {seed} and trial indices {start}..{start + count - 1} must lie in [0, 2^64)")
-    bitgen = np.random.Philox(0)
+    bitgen = np.random.Philox(_unseeded())
     gen = np.random.Generator(bitgen)
     key = [seed, 0]
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},

@@ -10,7 +10,10 @@ their denominators, which are divided out into Fractions at the end.
 The kernel streams the locations in passes: each pass is looked up and
 ranked, and its scores (and a derived space's costs) join its summation
 block's sums in location order; the blocks are then added in order, so
-passes change no output bit and an election holds a few MiB.
+passes change no output bit and an election holds a few MiB.  A pass's
+ranking, sort keys and weights are views of grow-only buffers that each
+thread keeps (``_buffer``, a few MiB), valid until the next pass: small
+elections fault in no new pages.
 
 Every ranking is the stable argsort's, bit for bit.  Plurality needs only
 the first-index argmin.  Stored spaces read no distance: their elections
@@ -28,6 +31,7 @@ checked against it on thousands of randomized instances.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -61,6 +65,20 @@ _INF_BITS = np.float64(np.inf).view(np.uint64)
 _DERIVED_MEDIAN_CAP = 4096
 
 INFINITE = math.inf
+#: this thread's kernel buffers: one flat array per (role, dtype), of at
+#: most max(_PASS_ELEMENTS, n) elements
+_WORKSPACE = threading.local()
+
+
+def _buffer(role: str, shape, dtype) -> np.ndarray:
+    """A C-contiguous ``shape`` prefix view of this thread's ``role`` buffer
+    of ``dtype``, which grows (never shrinks) to fit and is overwritten by
+    the next call for the same role."""
+    key, size = (role, np.dtype(dtype)), math.prod(shape)
+    flat = vars(_WORKSPACE).get(key)
+    if flat is None or flat.size < size:
+        flat = vars(_WORKSPACE)[key] = np.empty(size, key[1])
+    return flat[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -126,7 +144,8 @@ def _rank(dist: np.ndarray, order: np.ndarray) -> None:
     n = dist.shape[-1]
     if dist.dtype.kind == "i":
         bits = (n - 1).bit_length()
-        keys = np.left_shift(dist, bits, dtype=_int_dtype(int(dist.max()) << bits | (n - 1)))
+        dtype = _int_dtype(int(dist.max()) << bits | (n - 1))
+        keys = np.left_shift(dist, bits, out=_buffer("keys", dist.shape, dtype), dtype=dtype)
         keys |= np.arange(n, dtype=keys.dtype)
         keys.sort(axis=-1)
         np.bitwise_and(keys, (1 << bits) - 1, out=order)
@@ -207,14 +226,14 @@ def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = Fa
     count, n = slates.shape
     cols = slates.ravel()
     step = min(max(1, _PASS_ELEMENTS // slates.size), _CHUNK_ROWS, npoints)
-    order = np.empty((step, count, 1 if top_only else n), dtype=np.int64)
     for start in range(0, npoints, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, npoints)
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
             dist = lookup(lo, hi, cols).reshape(hi - lo, count, n)
-            _rank(dist, order[: hi - lo])
-            yield slice(lo, hi), dist, order[: hi - lo]
+            order = _buffer("order", (hi - lo, count, 1 if top_only else n), np.int64)
+            _rank(dist, order)
+            yield slice(lo, hi), dist, order
 
 
 def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
@@ -284,7 +303,7 @@ def _elect(lookup, mass, costs, scores, slates):
         if count > 1:  # a lone slate's offset is 0
             order += offsets
         # the same mass * score weights for every slate, laid out like order
-        weights = np.multiply(mass[rows][:, None, None], scores[:width], out=np.empty(order.shape, dtype))
+        weights = np.multiply(mass[rows][:, None, None], scores[:width], out=_buffer("weights", order.shape, dtype))
         np.add.at(block[0], order.ravel(), weights.ravel())
         if costs is None:
             block[1] = _location_sum(block[1], mass[rows], dist.reshape(len(dist), -1))
@@ -296,6 +315,8 @@ def _elect(lookup, mass, costs, scores, slates):
 def _location_sum(partial, mass, dist):
     """``partial`` plus the mass[i] * dist[i, j] of each column j, summed in row
     order (no BLAS; add.reduce sums a lone column pairwise, cumsum does not)."""
+    # allocated per pass: a workspace buffer, cold in cache after the
+    # lookup, ran full-scale Plurality elections 2-4% slower
     terms = mass[:, None] * dist
     terms[0] += partial
     if terms.shape[1] == 1:

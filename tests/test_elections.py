@@ -1,7 +1,9 @@
 import json
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -400,13 +402,20 @@ def test_sub_block_size_changes_no_bit(golden_instance, monkeypatch, pass_rows):
         assert run_election(golden_instance, slate, parse_family(f).score_vector(16)) == outcome
 
 
+def _clear_workspace():
+    vars(elections._WORKSPACE).clear()
+
+
 @pytest.mark.parametrize("family", ["plurality", "borda"])
 def test_election_memory_is_pass_sized(golden_instance, family):
     # 16 candidates on 70512 locations: buffers of 65536-location blocks
-    # peaked at 12 and 26 MiB; pass-sized ones stay below 8 MiB
+    # peaked at 12 and 26 MiB; pass-sized ones, allocated afresh into an
+    # empty workspace, stay below 8 MiB, and the workspace keeps at most
+    # four buffers of 2^17 eight-byte elements
     slate = json.loads(GOLDEN.read_text())["cases"][-1]["slate"]
     vec = parse_family(family).score_vector(16)
     run_election(golden_instance, slate, vec)
+    _clear_workspace()
     tracemalloc.start()
     try:
         run_election(golden_instance, slate, vec)
@@ -414,6 +423,59 @@ def test_election_memory_is_pass_sized(golden_instance, family):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+    held = sum(buffer.nbytes for buffer in vars(elections._WORKSPACE).values())
+    assert 0 < held <= 4 * 8 * 2**17 + 1024
+
+
+def test_warm_estimate_allocates_no_pass_buffer():
+    # the workspace holds every pass buffer after one estimate: when each
+    # election allocated its own, the second estimate peaked at 2472 KiB
+    space = random_space(3, 20, "uniform-box-L2")
+    montecarlo.estimate_distortion(space, Borda(), 64, 200, 1)
+    tracemalloc.start()
+    try:
+        montecarlo.estimate_distortion(space, Borda(), 64, 200, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_workspace_carries_no_state_between_elections(monkeypatch):
+    # tiny passes: every election reuses, and n = 64 grows, buffers that
+    # another shape, dtype or rule filled last
+    monkeypatch.setattr(elections, "_PASS_ELEMENTS", 50)
+    box = random_space(4, 20, "uniform-box-L2")
+    cases = [(space, montecarlo.sample_candidates(space, n, 7, n), family.score_vector(n))
+             for space in (box, random_space(4, 7, "iid-unit-interval-distances"), _derived_copy(box))
+             for n in (1, 2, 3, 64) for family in (Plurality(), Borda())]
+    for sequence in (cases, cases[::-1]):
+        outcomes = [run_election(*case) for case in sequence]
+        for case, outcome in zip(sequence, outcomes):
+            _clear_workspace()
+            assert run_election(*case) == outcome
+
+
+def test_threads_keep_their_own_workspace():
+    spaces = [random_space(seed, 20, "uniform-box-L2") for seed in (1, 2)]
+    runs = [(spaces[i % 2], (Plurality(), Borda())[i // 2 % 2], (3, 64)[i // 4 % 2], 150, i)
+            for i in range(16)]
+
+    def estimate(run):
+        return montecarlo.estimate_distortion(*run)
+
+    serial = [estimate(run) for run in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-election
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(estimate, runs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    for a, b in zip(threaded, serial):
+        assert np.array_equal(a.distortions, b.distortions)
+        assert np.array_equal(a.winner_distances, b.winner_distances)
 
 
 @pytest.mark.parametrize("pass_rows", [None, 1000])

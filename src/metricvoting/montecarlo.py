@@ -6,6 +6,12 @@ order on any number of workers, and two runs over disjoint trial ranges merge
 into exactly the run over the union.  Per-trial outcomes are kept (one float
 per trial), and every summary statistic is a canonical reduction over the
 trial-ordered array, which is what makes the merge byte-identical.
+
+Draws invert the mass CDF by the space's guide table: u's bucket floor(u K)
+is exact for K a power of two, and a bucket that no cumulative mass splits
+fixes the count of ``cum_mass <= u``, so only draws in split buckets search
+and every draw equals the clamped ``searchsorted``.  ``sufficiency_probe``
+counts the tail events of the very slates it elects, drawn once.
 """
 
 from __future__ import annotations
@@ -27,11 +33,20 @@ from .spaces import MetricSpace, _scaled_integers
 _ENUMERATION_CAP = 1_000_000
 
 
+def _inverse_cdf(space: MetricSpace, u: np.ndarray) -> np.ndarray:
+    """Locations of uniforms ``u`` in [0, 1): ``searchsorted(cum_mass, u,
+    side="right")`` clamped to P - 1, read from ``space.guide`` when it can."""
+    guide = space.guide
+    idx = guide[(u * guide.size).astype(np.intp)]  # exact: K is a power of two
+    split = idx < 0
+    idx[split] = np.searchsorted(space.cum_mass, u[split], side="right")
+    return np.minimum(idx, space.npoints - 1)
+
+
 def _slates(space: MetricSpace, n: int, seed: int, start: int, count: int) -> np.ndarray:
     """(count, n) slates of trials start..start+count-1: n i.i.d. draws each
     from the space's mass distribution (inverse CDF)."""
-    idx = np.searchsorted(space.cum_mass, trial_uniforms(seed, start, count, n), side="right")
-    return np.minimum(idx, space.npoints - 1).astype(np.int64)
+    return _inverse_cdf(space, trial_uniforms(seed, start, count, n))
 
 
 def sample_candidates(space: MetricSpace, n: int, seed: int, trial_index: int) -> np.ndarray:
@@ -45,7 +60,7 @@ def sample_candidates(space: MetricSpace, n: int, seed: int, trial_index: int) -
 class Estimate:
     """Monte Carlo estimate of expected distortion.
 
-    ``n`` and ``seed`` are the candidate count and seed of its elections.
+    ``family_spec``, ``n`` and ``seed`` are those of its elections.
     Trials whose in-slate optimum has zero cost but whose winner does not are
     flagged infinite: they are counted in ``infinite_flag_count`` and
     excluded from the mean, never averaged.  ``winner_distance_histogram``
@@ -53,6 +68,7 @@ class Estimate:
     probability that the winner lands at distance >= r.
     """
 
+    family_spec: str
     n: int
     seed: int
     trials: int
@@ -68,7 +84,7 @@ class Estimate:
     winner_distances: np.ndarray = field(compare=False, repr=False, default=None)
 
 
-def _summarize(distortions, winner_distances, knots, n, seed, trial_start) -> Estimate:
+def _summarize(distortions, winner_distances, knots, n, seed, trial_start, family_spec) -> Estimate:
     finite = distortions[np.isfinite(distortions)]
     inf_count = int(distortions.size - finite.size)
     if finite.size:
@@ -82,6 +98,7 @@ def _summarize(distortions, winner_distances, knots, n, seed, trial_start) -> Es
     at_least = ranked.size - np.searchsorted(ranked, knots, side="left")
     hist = tuple((float(r), float(c / ranked.size)) for r, c in zip(knots, at_least))
     return Estimate(
+        family_spec=family_spec,
         n=n,
         seed=seed,
         trials=int(distortions.size),
@@ -156,14 +173,14 @@ def estimate_distortion(
     parts = _fan_out(_trial_batch, (space, vector, seed, dist_from_o), trial_start, trials, jobs)
     dstr = np.concatenate([p[0] for p in parts])
     wdist = np.concatenate([p[1] for p in parts])
-    return _summarize(dstr, wdist, np.unique(dist_from_o), n, seed, trial_start)
+    return _summarize(dstr, wdist, np.unique(dist_from_o), n, seed, trial_start, family.spec)
 
 
 def merge_estimates(a: Estimate, b: Estimate) -> Estimate:
-    """Combine runs over adjoining trial ranges of one n and seed;
+    """Combine runs over adjoining trial ranges of one family, n and seed;
     associative by construction."""
-    if (a.n, a.seed) != (b.n, b.seed):
-        raise ValueError("estimates of different n or seed cannot be merged")
+    if (a.family_spec, a.n, a.seed) != (b.family_spec, b.n, b.seed):
+        raise ValueError("estimates of different n or seed or rule family cannot be merged")
     first, second = (a, b) if a.trial_start <= b.trial_start else (b, a)
     if first.trial_start + first.trials != second.trial_start:
         raise ValueError("estimates overlap or leave a gap in trial indices")
@@ -175,6 +192,7 @@ def merge_estimates(a: Estimate, b: Estimate) -> Estimate:
         a.n,
         a.seed,
         first.trial_start,
+        a.family_spec,
     )
 
 
@@ -265,9 +283,16 @@ def sufficiency_probe(
     seed: int,
     z,
 ) -> SufficiencyCheck:
-    """Record tail events E_r and winner escapes over a grid of radii."""
-    z = checked_probe_z(z)  # before the estimate
-    return probe_estimate(space, estimate_distortion(space, family, n, trials, seed), z)
+    """Record tail events E_r and winner escapes over a grid of radii on the
+    trials of ``estimate_distortion``, each slate drawn once."""
+    z = checked_probe_z(z)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    vector = family.score_vector(n)
+    median_index = one_median(space)
+    dist_from_o = space.distances_from(median_index)
+    batches = ((slates, dist_from_o[w]) for _, slates, w, _, _, _ in _trials(space, vector, seed, 0, trials))
+    return _probe(space, median_index, z, n, trials, batches)
 
 
 def probe_estimate(space: MetricSpace, estimate: Estimate, z) -> SufficiencyCheck:
@@ -275,7 +300,15 @@ def probe_estimate(space: MetricSpace, estimate: Estimate, z) -> SufficiencyChec
     distances give the escapes, and the tail events need only its slates,
     redrawn from its own n and seed, and no election."""
     z = checked_probe_z(z)
-    median_index = one_median(space)
+    start = estimate.trial_start
+    batches = ((slates, estimate.winner_distances[trials.start - start : trials.stop - start])
+               for trials, slates in _slate_batches(space, estimate.n, estimate.seed, start, estimate.trials))
+    return _probe(space, one_median(space), z, estimate.n, estimate.trials, batches)
+
+
+def _probe(space, median_index, z, n, trials, batches) -> SufficiencyCheck:
+    """The probe's counts over ``trials`` trials of n candidates, given as
+    batches of (slates, winner distances from the 1-median)."""
     dist_from_o = space.distances_from(median_index)
     knots = np.unique(dist_from_o)
     ball_mass = np.array([float(space.mass[dist_from_o <= r].sum()) for r in knots])
@@ -286,15 +319,14 @@ def probe_estimate(space: MetricSpace, estimate: Estimate, z) -> SufficiencyChec
     grid = knots[knots >= r_tilde]
     v_of_r = 1.0 - ball_mass[knots >= r_tilde]
 
-    threshold = (1.0 - z) * estimate.n
-    start = estimate.trial_start
+    threshold = (1.0 - z) * n
     events = np.zeros(grid.size, dtype=np.int64)
     escapes = np.zeros(grid.size, dtype=np.int64)
     violations = np.zeros(grid.size, dtype=np.int64)
-    for trials, slates in _slate_batches(space, estimate.n, estimate.seed, start, estimate.trials):
+    for slates, winner_distances in batches:
         outside = (dist_from_o[slates][:, :, None] > grid).sum(axis=1)
         event = outside > threshold
-        escape = estimate.winner_distances[trials.start - start : trials.stop - start, None] > 3.0 * grid
+        escape = winner_distances[:, None] > 3.0 * grid
         events += event.sum(axis=0)
         escapes += escape.sum(axis=0)
         violations += (~event & escape).sum(axis=0)
@@ -303,7 +335,7 @@ def probe_estimate(space: MetricSpace, estimate: Estimate, z) -> SufficiencyChec
         tilde_y=tilde_y,
         r_tilde=r_tilde,
         median_index=int(median_index),
-        trials=estimate.trials,
+        trials=trials,
         radii=tuple(float(r) for r in grid),
         outside_mass_at=tuple(float(v) for v in v_of_r),
         event_counts=tuple(int(c) for c in events),

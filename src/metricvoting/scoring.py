@@ -70,11 +70,20 @@ class RuleFamily:
         raise NotImplementedError
 
     def score_vector(self, n: int) -> ScoringVector:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if n == 1:
-            return ScoringVector(1, (Fraction(1),))
-        return ScoringVector(n, tuple(self.score_at(n, k) for k in range(n)))
+        """The vector for n candidates.  The instance keeps vectors of at most
+        256 scores in all, emptied when one more would not fit; vectors are
+        immutable, so callers share them."""
+        memo = self.__dict__.setdefault("_vectors", {})
+        vector = memo.get(n)
+        if vector is None:
+            if n < 1:
+                raise ValueError("n must be >= 1")
+            vector = ScoringVector(n, (Fraction(1),) if n == 1 else tuple(self.score_at(n, k) for k in range(n)))
+            if sum(memo) + n > 256:
+                memo.clear()
+            if n <= 256:
+                memo[n] = vector
+        return vector
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec!r})"

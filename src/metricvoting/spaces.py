@@ -126,6 +126,16 @@ class MetricSpace:
         self.cum_mass = np.cumsum(self.mass)
 
     @cached_property
+    def guide(self):
+        """Guide table of inverse-CDF draws (Chen & Asau 1974) over K buckets,
+        K the power of two from 16 P to 32 P, at most 4096 (32 KiB): entry k
+        is the number of ``cum_mass`` entries <= u shared by every u in
+        [k/K, (k+1)/K), or -1 where an entry splits that bucket."""
+        size = min(4096, 1 << (16 * self.npoints - 1).bit_length())
+        count = np.searchsorted(self.cum_mass, np.arange(size + 1) / size, side="right")
+        return np.where(count[:-1] == count[1:], count[:-1], -1)
+
+    @cached_property
     def costs(self):
         """Every location's social cost in float64, each summed over the
         locations in order, as ``brute_force_outcome`` sums it (``np.einsum``

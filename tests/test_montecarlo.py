@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricvoting import (
     MetricSpace,
@@ -131,6 +133,16 @@ def test_merge_rejects_gap(line_space):
             merge_estimates(*pair)
 
 
+def test_merge_rejects_another_rule_family():
+    space = random_space(2, 12, "uniform-box-L2")
+    borda = estimate_distortion(space, Borda(), 4, trials=50, seed=3)
+    plurality = estimate_distortion(space, Plurality(), 4, trials=50, seed=3, trial_start=50)
+    assert (borda.family_spec, plurality.family_spec) == ("borda", "plurality")
+    for pair in ((borda, plurality), (plurality, borda)):
+        with pytest.raises(ValueError, match="rule family"):
+            merge_estimates(*pair)
+
+
 def test_parallel_jobs_identical():
     space = random_space(2, 12, "uniform-box-L2")
     serial = estimate_distortion(space, Plurality(), 4, trials=80, seed=3, jobs=1)
@@ -221,7 +233,8 @@ def test_histogram_consistency(line_space):
 def test_infinite_trials_excluded_from_mean():
     dstr = np.array([1.0, 2.0, math.inf, 3.0])
     wdist = np.array([0.0, 1.0, 5.0, 1.0])
-    est = _summarize(dstr, wdist, [0.0, 1.0, 5.0], n=2, seed=0, trial_start=0)
+    est = _summarize(dstr, wdist, [0.0, 1.0, 5.0], n=2, seed=0, trial_start=0,
+                     family_spec="borda")
     assert est.infinite_flag_count == 1
     assert est.mean == 2.0
     assert est.trials == 4
@@ -258,7 +271,8 @@ def test_histogram_is_the_share_at_or_beyond_each_knot():
     rng = np.random.default_rng(3)
     wdist = rng.integers(0, 6, 257) / 4.0  # many ties, some knots never hit
     knots = np.arange(0, 9) / 4.0
-    est = _summarize(np.ones(wdist.size), wdist, knots, n=2, seed=0, trial_start=0)
+    est = _summarize(np.ones(wdist.size), wdist, knots, n=2, seed=0, trial_start=0,
+                     family_spec="borda")
     want = tuple((float(r), float(np.mean(wdist >= r))) for r in knots)
     assert est.winner_distance_histogram == want
 
@@ -388,3 +402,62 @@ def test_sample_candidates_is_a_row_of_the_batch():
     batch = montecarlo._slates(space, 6, 3, 10, 4)
     for i in range(4):
         assert sample_candidates(space, 6, 3, 10 + i).tobytes() == batch[i].tobytes()
+
+
+_MASS_SCALES = (1.0, 1 - 2**-53, 1 - 2**-52, 1 - 1e-12, 1 + 2**-52, 1 + 1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_guide_table_draws_are_the_clamped_searchsorted(data):
+    # every float u in [0, 1) lands where the whole-array search puts it:
+    # the bucket edges k/K, the neighbours of each cumulative mass and keyed
+    # uniforms, on masses with zeros, tiny or dyadic values whose cumulative sum
+    # ends on either side of 1, from one point to far more than K
+    npoints = data.draw(st.sampled_from([1, 2, 3, 7, 20, 300, 10_000]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(npoints) * rng.choice([0.0, 1e-300, 1e-17, 1.0], npoints,
+                                               p=data.draw(st.sampled_from([(0, 0, 0, 1), (0.3, 0.1, 0.1, 0.5)])))
+    weights[rng.integers(npoints)] += 1.0
+    if data.draw(st.booleans()):  # dyadic masses: cumulative masses on bucket edges
+        weights = rng.integers(0, 3, npoints).astype(float)
+        weights[-1] += 2.0 ** math.ceil(math.log2(weights.sum() + 1)) - weights.sum()
+    mass = weights / weights.sum() * data.draw(st.sampled_from(_MASS_SCALES))
+    space = MetricSpace(mass, block_fn=lambda i, j: np.abs(i - j) * 1.0)
+    cum = space.cum_mass
+    buckets = space.guide.size
+    assert buckets & (buckets - 1) == 0
+    assert buckets == 4096 if npoints > 256 else 16 * npoints <= buckets < 32 * npoints
+    u = np.concatenate([np.arange(buckets) / buckets, cum, np.nextafter(cum, 0), np.nextafter(cum, 2),
+                        [0.0, 5e-324, 1 - 2**-53], trial_uniforms(data.draw(st.integers(0, 99)), 0, 8, 64).ravel()])
+    u = u[(u >= 0) & (u < 1)]
+    want = np.minimum(np.searchsorted(cum, u, side="right"), npoints - 1)
+    got = montecarlo._inverse_cdf(space, u.reshape(1, -1))[0]
+    assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes()
+
+
+_PROBE_SPACES = {
+    "stored": lambda: random_space(8, 20, "uniform-box-L2"),
+    "exact": lambda: MetricSpace([F(1, 2), F(3, 10), F(1, 5)], matrix=[[0, 1, 3], [1, 0, 2], [3, 2, 0]]),
+    "single-point": lambda: MetricSpace([F(1)], matrix=[[0]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PROBE_SPACES))
+def test_probe_equals_the_probe_of_its_estimate(kind):
+    space = _PROBE_SPACES[kind]()
+    for family, n, z in ((Borda(), 16, 0.75), (Veto(), 3, 0.6)):
+        est = estimate_distortion(space, family, n, 70, 5)
+        assert sufficiency_probe(space, family, n, 70, 5, z) == probe_estimate(space, est, z)
+
+
+def test_probe_draws_each_slate_once(monkeypatch):
+    rows = []
+
+    def counted(seed, start, count, n):
+        rows.append(count)
+        return trial_uniforms(seed, start, count, n)
+
+    monkeypatch.setattr(montecarlo, "trial_uniforms", counted)
+    sufficiency_probe(random_space(8, 20, "uniform-box-L2"), Borda(), 64, 90, 4, 0.75)
+    assert sum(rows) == 90

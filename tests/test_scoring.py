@@ -40,6 +40,21 @@ def test_plurality_veto_vectors():
     assert Veto().score_vector(3).scores == (1, 1, 0)
 
 
+def test_score_vectors_are_shared_and_their_memo_is_bounded():
+    # an instance hands out one vector per n, keeps at most 256 scores, and
+    # a vector built after the memo empties equals the one built before
+    family = Borda()
+    first = family.score_vector(64)
+    assert family.score_vector(64) is first and not first.float_scores.flags.writeable
+    for n in list(range(1, 41)) + [256, 300, 1000]:
+        assert family.score_vector(n) == Borda().score_vector(n)
+        assert sum(family._vectors) <= 256
+    again = family.score_vector(64)
+    assert again == first and again.float_scores.tobytes() == first.float_scores.tobytes()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        family.score_vector(0)
+
+
 def test_gamma_approval_floor():
     # ones at positions k <= floor(n/2)
     assert GammaApproval(F(1, 2)).score_vector(5).scores == (1, 1, 1, 0, 0)

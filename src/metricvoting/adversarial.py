@@ -9,8 +9,11 @@ random ordering of the near locations via a tiny hashed perturbation.
 
 Distances are derived lazily from (seed, indices) and never stored; the
 space holds only the masses and their cumulative sum, 16 bytes per location
-(64 MiB held, and 64 MiB at peak while building at N = 2^22).  The
-experiment then measures
+(64 MiB held, and 64 MiB at peak while building at N = 2^22).  An
+election's pass of near rows against a slate is one keyed splitmix64 hash:
+each column's row shift, key word, multiplier and offset turn every near
+and cross pair into (key >> 11) * mult + offset, with no split by kind and
+no scatter (``TwoClusterDistance._outer``).  The experiment then measures
 how often a representative slate hands the election to the far cluster, and
 the distortion that follows.
 """
@@ -24,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._hash import key_uniform, pair_uniform, seed_word
+from . import elections
+from ._hash import _INV53, U64, _mix64_inplace, key_uniform, pair_uniform, seed_word
 from .condition import condition_sides
 from .montecarlo import _fan_out, _trials
 from .scoring import RuleFamily
@@ -142,6 +146,10 @@ class TwoClusterDistance:
             split = int(np.count_nonzero(rows < self.near_count))
             if rows[:split].max(initial=-1) < self.near_count:
                 return self._outer(rows, cols, split)
+        return self._pairs(i, j)
+
+    def _pairs(self, i, j) -> np.ndarray:
+        """The general path: distances for broadcast int64 index arrays."""
         ii, jj = np.broadcast_arrays(i, j)
         rows, cols = ii.ravel(), jj.ravel()
         near_r = rows < self.near_count
@@ -165,15 +173,60 @@ class TwoClusterDistance:
         )
 
     def _outer(self, rows, cols, split) -> np.ndarray:
-        """rows x cols block, where rows[:split] are the near rows; the
-        election kernel asks for one cache-sized pass of rows at a time."""
-        near_c = cols < self.near_count
+        """rows x cols block, where rows[:split] are the near rows, filled in
+        row chunks of at most ``elections._PASS_ELEMENTS`` elements.
+
+        A chunk's near rows r are one keyed hash over every column c: the
+        key (r << shift) ^ word is mixed, and (key >> 11) * mult + offset is
+        the distance.  A near column below the chunk's rows keys
+        (c << 32 | r) ^ word_near, one above them (r << 32 | c) ^ word_near,
+        and a far atom a keys (a << 32 | r) ^ word_cross; mult is
+        2^-53 * scale, which rounds as 2^-53 then scale do, as 2^-53 is a
+        power of two.  Near columns inside the chunk's row range hold the
+        diagonal and the rows where a pair's min and max swap: in an
+        ascending run of rows their rows before the diagonal are re-keyed
+        and the diagonal zeroed; other rows take the general path for them,
+        as far rows do for every column."""
+        n = self.near_count
+        far = cols >= n
+        atoms = np.where(far, cols - n, 0)
+        c = cols.astype(U64)
+        # a column's key part below the rows: c << 32, or a << 32 for an atom
+        below = np.where(far, atoms.astype(U64), c) << U64(32)
+        word = np.where(far, self.word_cross, self.word_near)
+        mult = np.where(far, _INV53 * self.perturb_scale, _INV53)
+        offset = np.where(far, self.cluster_distance + self.atom_positions[atoms] / 4.0, 1.0)
+
         out = np.empty((rows.size, cols.size))
-        for row_near, col_near, fill in self._parts():
-            rsel = slice(0, split) if row_near else slice(split, rows.size)
-            csel = near_c if col_near else ~near_c
-            if rsel.stop > rsel.start and csel.any():
-                out[rsel, csel] = fill(rows[rsel, None], cols[None, csel])
+        step = max(1, elections._PASS_ELEMENTS // max(1, cols.size))
+        key = np.empty((min(step, split), cols.size), U64)
+        scratch = np.empty_like(key)
+        for lo in range(0, rows.size, step):
+            hi = min(lo + step, rows.size)
+            mid = min(max(split, lo), hi)  # near rows lo..mid, far rows mid..hi
+            if mid < hi:
+                out[mid:hi] = self._pairs(rows[mid:hi, None], cols[None])
+            if lo == mid:
+                continue
+            r, k, t = rows[lo:mid], key[: mid - lo], scratch[: mid - lo]
+            up = ~far & (cols > r.max())
+            at = np.flatnonzero(~far & ~up & (cols >= r.min()))  # inside columns
+            # an ascending run of rows meets column c's diagonal at row c - r[0]
+            run = at.size > 0 and r[-1] - r[0] == r.size - 1 and (np.diff(r) == 1).all()
+            r = r.view(U64)
+            np.left_shift(r[:, None], np.where(up, U64(32), U64(0)), out=k)
+            k ^= np.where(up, c, below) ^ word
+            if run:  # the rows before the diagonal key (r << 32 | c)
+                for j, i in zip(at, cols[at] - rows[lo]):
+                    np.bitwise_xor(r[:i] << U64(32), c[j] ^ self.word_near, out=k[:i, j])
+            _mix64_inplace(k, t)
+            k >>= U64(11)  # below 2^53: int64 holds it and converts faster
+            block = np.multiply(k.view(np.int64), mult, out=out[lo:mid])
+            block += offset
+            if run:
+                block[cols[at] - rows[lo], at] = 0.0
+            elif at.size:
+                block[:, at] = self._pairs(rows[lo:mid, None], cols[None, at])
         return out
 
     def _cross_block(self, omega, atom):

@@ -120,7 +120,7 @@ def shifted_sides_family(family: RuleFamily, n: int, z, m: int) -> Tuple[Fractio
     return _prefix_sides(family, n, z, m, 2)[:2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionCell:
     y: Fraction
     n: int

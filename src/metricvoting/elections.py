@@ -18,7 +18,7 @@ elections fault in no new pages.
 Every ranking is the stable argsort's, bit for bit.  Plurality needs only
 the first-index argmin.  Stored spaces read no distance: their elections
 sort exact keys, a distance's dense rank (``MetricSpace.ranks``) above the
-candidate index.  A derived space's float rows of 32 to 4096 candidates
+candidate index.  A derived space's float rows of 12 to 4096 candidates
 sort packed keys too (a distance's bits with the candidate index in its low
 bits, ``_key_rank``); the rows whose keys cannot prove their order, and
 every narrower or wider row, take the stable argsort.
@@ -52,10 +52,12 @@ _CHUNK_ROWS = 65536
 _PASS_ELEMENTS = 1 << 17
 #: candidates per slate whose float distances (derived spaces only) are
 #: ranked by packed keys (``_key_rank``); fewer or more take the stable
-#: argsort.  Set on small stored spaces, where duplicate candidates made
-#: the checked keys slower than the argsort below n = 16; those now rank
-#: dense integer ranks.  Above 2^12 too many distance bits would be cleared
-_KEY_MIN_N = 32
+#: argsort.  The crossover, on two-cluster passes: keys win from n = 8 at
+#: N = 64^3 (1.22 against 1.49 ms at n = 8), and from n = 12 at N = 4096
+#: (0.71 against 0.77 ms), where most passes hold far rows whose far
+#: candidates tie, so the whole pass takes the key check.
+#: Above 2^12 too many distance bits would be cleared
+_KEY_MIN_N = 12
 _KEY_MAX_N = 1 << 12
 #: +inf's float64 bits: a row whose largest key reaches them holds +inf, a
 #: NaN (one whose payload sits in the cleared bits keys like +inf) or a

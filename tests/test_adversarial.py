@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from metricvoting import (
     validate,
 )
 from metricvoting import elections
+from metricvoting.adversarial import TwoClusterDistance
 from metricvoting.elections import rankings
 from metricvoting.montecarlo import sample_candidates
 from metricvoting.scoring import Borda, Plurality
@@ -328,3 +331,70 @@ def test_derived_distance_paths_agree_bit_for_bit(data):
     shuffled = data.draw(st.permutations(rows.tolist()))
     again = space.dist_block(np.array(shuffled)[:, None], cols[None, :])
     assert again.tobytes() == reference[np.array(shuffled) - lo].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_keyed_pass_agrees_with_pair_formula(data):
+    # 48 far atoms against 64 near locations: a run of rows may start below
+    # the atom count, so a cross key's atom can exceed its row
+    params = small_params(n=8, big_n=64, m_atoms=48)
+    space = build_instance(params, seed=data.draw(st.integers(0, 2**31 - 1))).space
+    block = space._block_fn
+    near, npts = block.near_count, space.npoints
+    far = data.draw(st.lists(st.integers(near, npts - 1), max_size=4, unique=True))
+    form = data.draw(st.sampled_from(["run", "mixed run", "sample", "shuffled"]))
+    if "run" in form:  # a run of near rows: ascending, or its middle reversed
+        start = data.draw(st.integers(0, near - 1))
+        picked = list(range(start, data.draw(st.integers(start + 1, near))))
+        if form == "mixed run":
+            picked[1:-1] = picked[-2:0:-1]
+    else:  # a sorted sample with gaps, or near rows in any order
+        picked = sorted(data.draw(st.lists(st.integers(0, near - 1), min_size=1, max_size=24, unique=True)))
+        if form == "shuffled":
+            picked = data.draw(st.permutations(picked))
+    rows = np.array(picked + sorted(far))
+    # columns below, inside and above the near rows, repeats and far atoms
+    lo, hi = int(rows[: len(picked)].min()), int(rows[: len(picked)].max())
+    regions = [st.integers(lo, hi), st.integers(near, npts - 1), st.sampled_from(rows.tolist())]
+    if lo > 0:
+        regions.append(st.integers(0, lo - 1))
+    if hi < near - 1:
+        regions.append(st.integers(hi + 1, near - 1))
+    cols = np.array(data.draw(st.lists(st.one_of(regions), min_size=1, max_size=12)))
+    # a pass budget of a few elements splits the rows into chunks
+    budget = data.draw(st.sampled_from([1, 40, 1 << 17, 1 << 17]))
+    calls = []
+    outer = TwoClusterDistance._outer
+
+    def spy(self, *args):
+        calls.append(args[2])
+        return outer(self, *args)
+
+    with mock.patch.object(TwoClusterDistance, "_outer", spy), \
+            mock.patch.object(elections, "_PASS_ELEMENTS", budget):
+        got = space.dist_block(rows[:, None], cols[None, :])
+    assert calls == [len(picked)]
+    reference = np.array([[_pair_distance(block, int(i), int(j)) for j in cols] for i in rows])
+    assert got.tobytes() == reference.tobytes()
+
+
+def test_direct_outer_call_memory_is_one_output():
+    # every location against a 64-candidate slate: the whole-block hash
+    # held full-size temporaries (a peak of 3.3 times the output); in
+    # pass-sized row chunks it holds the output and two chunk buffers (1.14)
+    params = small_params(n=64, big_n=1 << 16, m_atoms=512)
+    space = build_instance(params, seed=5).space
+    slate = sample_candidates(space, 64, 5, 0)
+    rows = np.arange(space.npoints)
+    tracemalloc.start()
+    try:
+        got = space.dist_block(rows[:, None], slate[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * got.nbytes
+    block = space._block_fn
+    want = np.concatenate([block._pairs(rows[lo : lo + 2048, None], slate[None, :])
+                           for lo in range(0, rows.size, 2048)])
+    assert got.tobytes() == want.tobytes()

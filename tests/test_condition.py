@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -167,6 +168,14 @@ def test_scan_cells_and_prefix_sums_match_vectors_at_large_n(family):
             assert type(total) is F and total == running, (n, m)
             if m < n:
                 running += vec.scores[m]
+
+
+def test_scan_cells_hold_no_instance_dict():
+    # a default-grid scan keeps thousands of cells: a slotted cell has no
+    # per-instance __dict__, and still pickles and compares by value
+    cells = scan(Borda(), n_min=4, n_max=20).cells
+    assert not hasattr(cells[0], "__dict__")
+    assert pickle.loads(pickle.dumps(cells)) == cells
 
 
 def test_scan_verdict_is_horizon_relative():

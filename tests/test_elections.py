@@ -555,7 +555,8 @@ def test_nonzero_tail_vector_keeps_argsort(monkeypatch, npoints, derived):
 # packed-key ranking: every order equals the stable argsort
 
 _KEY_CAP = elections._KEY_MAX_N
-_KEY_WIDTHS = [31, 32, 33, 64, 65, _KEY_CAP, _KEY_CAP + 1]
+_KEY_MIN = elections._KEY_MIN_N
+_KEY_WIDTHS = [_KEY_MIN - 1, _KEY_MIN, _KEY_MIN + 1, 32, 33, 64, 65, _KEY_CAP, _KEY_CAP + 1]
 
 
 def _ranked(dist):
@@ -624,7 +625,7 @@ def test_key_ranking_of_signed_zeros_and_nan_payloads():
     assert np.array_equal(_ranked(dist), np.argsort(dist, axis=-1, kind="stable"))
 
 
-@pytest.mark.parametrize("n", [32, 33, 64, 65, _KEY_CAP])
+@pytest.mark.parametrize("n", [_KEY_MIN, 32, 33, 64, 65, _KEY_CAP])
 def test_key_ranking_repairs_ties_in_cleared_bits(monkeypatch, n):
     repaired = _spy_key_rank(monkeypatch)
     variants = _cleared_bit_variants(1.5, n)
@@ -638,8 +639,8 @@ def test_key_ranking_repairs_ties_in_cleared_bits(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n, dtype, keyed", [
-    (31, float, False),
-    (32, float, True),
+    (_KEY_MIN - 1, float, False),
+    (_KEY_MIN, float, True),
     (_KEY_CAP + 1, float, False),
     (64, object, False),
 ])

@@ -2,9 +2,9 @@
 
 Two primitives back everything randomized:
 
-* ``pair_uniform`` -- a stateless splitmix64-style hash mapping a seed word
-  and an index pair to a uniform float in [0, 1).  Used for lazily derived
-  pairwise distances, where materializing a matrix is impossible.
+* ``_mix64_inplace`` -- the splitmix64 finalizer, hashing uint64 keys in
+  place.  ``seed_word`` chains it over integers, and the two-cluster
+  distance keys its index pairs with it, never materializing a matrix.
 * ``trial_uniforms`` -- counter-based (Philox) streams keyed by
   (seed, trial index), so trials are reproducible and order-independent
   regardless of how they are scheduled across workers or batched.
@@ -37,40 +37,13 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64(x):
-    """splitmix64 finalizer; accepts uint64 scalars or arrays (wraps mod 2^64)."""
-    z = np.array(x, dtype=U64)
-    _mix64_inplace(z, np.empty_like(z))
-    return z if z.ndim else z[()]
-
-
 def seed_word(*parts: int) -> np.uint64:
     """Chain-mix integers into a single well-mixed 64-bit word."""
-    w = U64(0)
+    w = np.zeros((), U64)
     for p in parts:
-        w = mix64(w ^ U64(p & _MASK))
-    return U64(w)
-
-
-def pair_uniform(word: np.uint64, a, b):
-    """Uniform [0,1) keyed by (word, a, b); a, b must fit in 32 bits.
-
-    Broadcasts like a numpy ufunc over integer arrays.
-    """
-    a = np.asarray(a, dtype=U64)
-    b = np.asarray(b, dtype=U64)
-    key = np.left_shift(a, U64(32), out=np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=U64))
-    key |= b
-    return key_uniform(word, key, np.empty_like(key))
-
-
-def key_uniform(word: np.uint64, key: np.ndarray, scratch: np.ndarray):
-    """``pair_uniform`` of the built key ``(a << 32) | b``: hashes ``key`` in
-    place, overwriting ``scratch`` (same shape), and returns the floats."""
-    key ^= word
-    _mix64_inplace(key, scratch)
-    key >>= U64(11)
-    return key * _INV53
+        w ^= U64(p & _MASK)
+        _mix64_inplace(w, np.empty_like(w))
+    return w[()]
 
 
 @functools.cache

@@ -9,11 +9,11 @@ random ordering of the near locations via a tiny hashed perturbation.
 
 Distances are derived lazily from (seed, indices) and never stored; the
 space holds only the masses and their cumulative sum, 16 bytes per location
-(64 MiB held, and 64 MiB at peak while building at N = 2^22).  An
-election's pass of near rows against a slate is one keyed splitmix64 hash:
-each column's row shift, key word, multiplier and offset turn every near
-and cross pair into (key >> 11) * mult + offset, with no split by kind and
-no scatter (``TwoClusterDistance._outer``).  The experiment then measures
+(64 MiB held, and 64 MiB at peak while building at N = 2^22).  Every near
+and cross pair is one keyed splitmix64 hash, (key >> 11) * mult + offset,
+whose word, multiplier and offset follow from the pair's larger index; an
+election's pass of near rows against a slate hashes as one block
+(``TwoClusterDistance._outer``).  The experiment then measures
 how often a representative slate hands the election to the far cluster, and
 the distortion that follows.
 """
@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import elections
-from ._hash import _INV53, U64, _mix64_inplace, key_uniform, pair_uniform, seed_word
+from ._hash import _INV53, U64, _mix64_inplace, seed_word
 from .condition import condition_sides
 from .montecarlo import _fan_out, _trials
 from .scoring import RuleFamily
@@ -91,7 +91,7 @@ def solve_parameters(
         raise ValueError("m_atoms and n must be >= 2")
     # 2b^2 + (6 rho - 4) b - 1 = 0, root in (0, 1/2)
     lin = 6 * rho - 4
-    beta = (-lin + math.sqrt(lin * lin + 8)) / 4
+    beta = 2 / (lin + math.sqrt(lin * lin + 8))  # the root, free of cancellation
     alpha = 1 - beta
     mu = (1 + math.sqrt(1 - alpha * (1 - alpha))) / 2 + 1e-6
     if mu >= 1:
@@ -136,8 +136,7 @@ class TwoClusterDistance:
     word_cross: np.uint64
 
     def __call__(self, i, j) -> np.ndarray:
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
         # outer-product fast path: a column of rows against a row of columns
         # (the election hot loop), taken when the near rows come first, as
         # they do in any ascending run of rows
@@ -148,54 +147,66 @@ class TwoClusterDistance:
                 return self._outer(rows, cols, split)
         return self._pairs(i, j)
 
-    def _pairs(self, i, j) -> np.ndarray:
-        """The general path: distances for broadcast int64 index arrays."""
-        ii, jj = np.broadcast_arrays(i, j)
-        rows, cols = ii.ravel(), jj.ravel()
-        near_r = rows < self.near_count
-        near_c = cols < self.near_count
-        out = np.empty(rows.shape)
-        for row_near, col_near, fill in self._parts():
-            m = (near_r == row_near) & (near_c == col_near)
-            if m.any():
-                out[m] = fill(rows[m], cols[m])
-        return out.reshape(ii.shape)
+    def _terms(self, hi):
+        """Whether ``hi`` is a far atom, its atom index (0 if near), and the
+        key word, multiplier and offset of each pair whose larger index it
+        is: word_near, 2^-53 and 1 for a near pair, and word_cross,
+        2^-53 * scale and D + position / 4 against an atom (2^-53 * scale
+        rounds as 2^-53 then scale do, as 2^-53 is a power of two)."""
+        far = hi >= self.near_count
+        atom = np.where(far, hi - self.near_count, 0)
+        word = np.where(far, self.word_cross, self.word_near)
+        mult = np.where(far, _INV53 * self.perturb_scale, _INV53)
+        offset = np.where(far, self.cluster_distance + self.atom_positions[atom] / 4.0, 1.0)
+        return far, atom, word, mult, offset
 
-    def _parts(self):
-        """(rows near?, columns near?, fill(rows, cols)) for the four kinds of
-        pair; each fill broadcasts over its point indices."""
-        n = self.near_count
-        return (
-            (True, True, self._near_block),
-            (False, False, lambda r, c: self._far_block(r - n, c - n)),
-            (True, False, lambda r, c: self._cross_block(r, c - n)),
-            (False, True, lambda r, c: self._cross_block(c, r - n)),
-        )
+    def _pairs(self, i, j) -> np.ndarray:
+        """The general path: distances for broadcast int64 index arrays, in
+        chunks of a quarter pass, as ``_fill`` holds some seven temporaries
+        of a chunk's size."""
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        out = np.empty(lo.shape)
+        flat, lo, hi = out.reshape(-1), lo.reshape(-1), hi.reshape(-1)
+        step = max(1, elections._PASS_ELEMENTS // 4)
+        for s in range(0, flat.size, step):
+            self._fill(lo[s : s + step], hi[s : s + step], flat[s : s + step])
+        return out
+
+    def _fill(self, lo, hi, out):
+        """Fills ``out`` with the distances of the pairs lo <= hi.  A near
+        pair keys (lo << 32 | hi) ^ word_near, a near lo against atom
+        a = hi - N keys (a << 32 | lo) ^ word_cross, and the mixed key gives
+        (key >> 11) * mult + offset; two atoms are min(position) apart, and
+        a point is 0 from itself."""
+        far, atom, word, mult, offset = self._terms(hi)
+        key = np.where(far, atom, lo).view(U64)
+        key <<= U64(32)
+        key |= np.where(far, lo, hi).view(U64)
+        key ^= word
+        _mix64_inplace(key, np.empty_like(key))
+        key >>= U64(11)
+        np.multiply(key.view(np.int64), mult, out=out)
+        out += offset
+        both, pos = np.flatnonzero(lo >= self.near_count), self.atom_positions  # two atoms
+        out[both] = np.minimum(pos[lo[both] - self.near_count], pos[atom[both]])
+        out[lo == hi] = 0.0
 
     def _outer(self, rows, cols, split) -> np.ndarray:
         """rows x cols block, where rows[:split] are the near rows, filled in
         row chunks of at most ``elections._PASS_ELEMENTS`` elements.
 
-        A chunk's near rows r are one keyed hash over every column c: the
-        key (r << shift) ^ word is mixed, and (key >> 11) * mult + offset is
-        the distance.  A near column below the chunk's rows keys
+        A chunk's near rows r are one keyed hash over every column c, with
+        the ``_terms`` of c: a near column below the rows keys
         (c << 32 | r) ^ word_near, one above them (r << 32 | c) ^ word_near,
-        and a far atom a keys (a << 32 | r) ^ word_cross; mult is
-        2^-53 * scale, which rounds as 2^-53 then scale do, as 2^-53 is a
-        power of two.  Near columns inside the chunk's row range hold the
-        diagonal and the rows where a pair's min and max swap: in an
-        ascending run of rows their rows before the diagonal are re-keyed
-        and the diagonal zeroed; other rows take the general path for them,
-        as far rows do for every column."""
-        n = self.near_count
-        far = cols >= n
-        atoms = np.where(far, cols - n, 0)
+        and a far atom a keys (a << 32 | r) ^ word_cross.  Near columns
+        inside the chunk's row range hold the diagonal and the rows where a
+        pair's min and max swap: in an ascending run of rows their rows
+        before the diagonal are re-keyed and the diagonal zeroed; other rows
+        take the general path for them, as far rows do for every column."""
+        far, atoms, word, mult, offset = self._terms(cols)
         c = cols.astype(U64)
         # a column's key part below the rows: c << 32, or a << 32 for an atom
-        below = np.where(far, atoms.astype(U64), c) << U64(32)
-        word = np.where(far, self.word_cross, self.word_near)
-        mult = np.where(far, _INV53 * self.perturb_scale, _INV53)
-        offset = np.where(far, self.cluster_distance + self.atom_positions[atoms] / 4.0, 1.0)
+        below = np.where(far, atoms, cols).view(U64) << U64(32)
 
         out = np.empty((rows.size, cols.size))
         step = max(1, elections._PASS_ELEMENTS // max(1, cols.size))
@@ -227,30 +238,6 @@ class TwoClusterDistance:
                 block[cols[at] - rows[lo], at] = 0.0
             elif at.size:
                 block[:, at] = self._pairs(rows[lo:mid, None], cols[None, at])
-        return out
-
-    def _cross_block(self, omega, atom):
-        u = pair_uniform(self.word_cross, atom, omega)
-        u *= self.perturb_scale
-        # the sum (D + position/4) + perturbation, in place
-        u += self.cluster_distance + self.atom_positions[atom] / 4.0
-        return u
-
-    def _near_block(self, a, b):
-        # pair_uniform(word_near, min, max), with the key built in place
-        a, b = a.view(np.uint64), b.view(np.uint64)
-        key = np.minimum(a, b)
-        key <<= np.uint64(32)
-        scratch = np.maximum(a, b)
-        key |= scratch
-        out = key_uniform(self.word_near, key, scratch)
-        out += 1.0
-        out[np.broadcast_to(np.equal(a, b), out.shape)] = 0.0
-        return out
-
-    def _far_block(self, fa, fb):
-        out = np.minimum(self.atom_positions[fa], self.atom_positions[fb])
-        out[np.broadcast_to(np.equal(fa, fb), out.shape)] = 0.0
         return out
 
 

@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="cross-check fast election against brute force")
     p.add_argument("--trials", type=positive_int, default=1000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=word64)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -47,7 +47,8 @@ def test_solve_parameters_exact_at_five_quarters():
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_solve_parameters_identity_general():
-    for rho in (1.1, 1.25, 2.0, 3.5, 5.0):
+    # large rho too, where sqrt(lin^2 + 8) - lin would cancel
+    for rho in (1.1, 1.25, 2.0, 3.5, 5.0, 9.19, 20.0, 100.0, 1000.0):
         p = solve_parameters(rho, n_override=8, big_n_override=64, m_atoms=16)
         b = p.far_mass
         assert 0 < b < 0.5
@@ -331,6 +332,16 @@ def test_derived_distance_paths_agree_bit_for_bit(data):
     shuffled = data.draw(st.permutations(rows.tolist()))
     again = space.dist_block(np.array(shuffled)[:, None], cols[None, :])
     assert again.tobytes() == reference[np.array(shuffled) - lo].tobytes()
+    # 0-d calls of every kind: near, cross both ways, far, and the diagonal
+    near, atom = block.near_count, data.draw(st.integers(block.near_count, npts - 1))
+    a, b = data.draw(st.integers(0, near - 1)), data.draw(st.integers(0, near - 1))
+    for i, j in [(a, b), (a, atom), (atom, a), (atom, npts - 1), (npts - 1, atom), (a, a), (atom, atom)]:
+        got = space.dist_block(i, j)
+        assert got.shape == () and got.tobytes() == np.float64(_pair_distance(block, i, j)).tobytes()
+    # a whole row, from a near point and from a far one
+    for i in (a, atom):
+        row = np.array([_pair_distance(block, i, j) for j in range(npts)])
+        assert space.distances_from(i).tobytes() == row.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from metricvoting import adversarial, save_space
-from metricvoting.cli import main
+from metricvoting.cli import build_parser, main, positive_int, word64
 
 
 def run_cli(*argv):
@@ -387,12 +388,28 @@ _SMALL = ("--random", "20,uniform-box-L2", "--family", "borda", "--n", "2")
     ("estimate", *_SMALL, "--trials", "5", "--seed", "-1"),
     ("adversarial", "--rho", "1.25", "--family", "borda", "--trials", "2", "--n", "4",
      "--big-n", "256", "--m-atoms", "32", "--seed", "-1"),
+    ("oracle", "--trials", "1", "--seed", "-1"),
+    ("oracle", "--trials", "1", "--seed", str(2**64)),
 ])
 def test_seed_or_trial_outside_64_bits_is_input_error(capsys, argv):
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert "error:" in err and f"argument {argv[-2]}: must be" in err
+
+
+def test_every_seed_and_jobs_option_is_bounded():
+    # walks every subcommand, so a new one cannot take a wrapping seed or a
+    # job count below one
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kinds = {"--seed": word64, "--jobs": positive_int}
+    seen = set()
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            for option in set(action.option_strings) & kinds.keys():
+                assert action.type is kinds[option], (command, option)
+                seen.add(option)
+    assert seen == kinds.keys()
 
 
 def test_largest_seed_and_trial_are_accepted():

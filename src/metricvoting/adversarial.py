@@ -12,8 +12,9 @@ space holds only the masses and their cumulative sum, 16 bytes per location
 (64 MiB held, and 64 MiB at peak while building at N = 2^22).  Every near
 and cross pair is one keyed splitmix64 hash, (key >> 11) * mult + offset,
 whose word, multiplier and offset follow from the pair's larger index; an
-election's pass of near rows against a slate hashes as one block
-(``TwoClusterDistance._outer``).  The experiment then measures
+election's pass of near rows against a slate hashes as one block, in row
+chunks that fit in L2 (``TwoClusterDistance._outer``), which the election
+turns into its cost terms in place.  The experiment then measures
 how often a representative slate hands the election to the far cluster, and
 the distortion that follows.
 """
@@ -193,7 +194,7 @@ class TwoClusterDistance:
 
     def _outer(self, rows, cols, split) -> np.ndarray:
         """rows x cols block, where rows[:split] are the near rows, filled in
-        row chunks of at most ``elections._PASS_ELEMENTS`` elements.
+        row chunks of at most half ``elections._PASS_ELEMENTS`` elements.
 
         A chunk's near rows r are one keyed hash over every column c, with
         the ``_terms`` of c: a near column below the rows keys
@@ -209,7 +210,8 @@ class TwoClusterDistance:
         below = np.where(far, atoms, cols).view(U64) << U64(32)
 
         out = np.empty((rows.size, cols.size))
-        step = max(1, elections._PASS_ELEMENTS // max(1, cols.size))
+        # half a pass: the key, scratch and output chunks (1.5 MiB) stay in L2
+        step = max(1, elections._PASS_ELEMENTS // 2 // max(1, cols.size))
         key = np.empty((min(step, split), cols.size), U64)
         scratch = np.empty_like(key)
         for lo in range(0, rows.size, step):
@@ -232,7 +234,9 @@ class TwoClusterDistance:
                     np.bitwise_xor(r[:i] << U64(32), c[j] ^ self.word_near, out=k[:i, j])
             _mix64_inplace(k, t)
             k >>= U64(11)  # below 2^53: int64 holds it and converts faster
-            block = np.multiply(k.view(np.int64), mult, out=out[lo:mid])
+            block = out[lo:mid]
+            block[...] = k.view(np.int64)
+            block *= mult
             block += offset
             if run:
                 block[cols[at] - rows[lo], at] = 0.0

@@ -18,10 +18,13 @@ elections fault in no new pages.
 Every ranking is the stable argsort's, bit for bit.  Plurality needs only
 the first-index argmin.  Stored spaces read no distance: their elections
 sort exact keys, a distance's dense rank (``MetricSpace.ranks``) above the
-candidate index.  A derived space's float rows of 12 to 4096 candidates
+candidate index.  A derived space's float rows of 6 to 4096 candidates
 sort packed keys too (a distance's bits with the candidate index in its low
-bits, ``_key_rank``); the rows whose keys cannot prove their order, and
-every narrower or wider row, take the stable argsort.
+bits, ``_key_rank``).  Only the rows where two locations' keys tie, or that
+hold a NaN, an infinity or a negative distance, are checked; a duplicate
+candidate ties its twin bit for bit and needs no check.  The rows that
+fail it, and every narrower or wider row, take the stable argsort.  A
+derived space's pass then turns its distances into cost terms in place.
 
 ``brute_force_outcome`` is a deliberately naive second implementation kept
 free of any shared ranking/scoring code; it exists so the fast path can be
@@ -52,12 +55,11 @@ _CHUNK_ROWS = 65536
 _PASS_ELEMENTS = 1 << 17
 #: candidates per slate whose float distances (derived spaces only) are
 #: ranked by packed keys (``_key_rank``); fewer or more take the stable
-#: argsort.  The crossover, on two-cluster passes: keys win from n = 8 at
-#: N = 64^3 (1.22 against 1.49 ms at n = 8), and from n = 12 at N = 4096
-#: (0.71 against 0.77 ms), where most passes hold far rows whose far
-#: candidates tie, so the whole pass takes the key check.
-#: Above 2^12 too many distance bits would be cleared
-_KEY_MIN_N = 12
+#: argsort.  The crossover, ranking every pass of a two-cluster election:
+#: keys win from n = 6 (at N = 64^3 13.5 against 17.6 ms, at N = 4096 1.41
+#: against 1.50 ms) and lose at n = 5 (17.3 against 15.8, 1.63 against
+#: 1.45 ms).  Above 2^12 too many distance bits would be cleared
+_KEY_MIN_N = 6
 _KEY_MAX_N = 1 << 12
 #: +inf's float64 bits: a row whose largest key reaches them holds +inf, a
 #: NaN (one whose payload sits in the cleared bits keys like +inf) or a
@@ -134,12 +136,13 @@ def _checked_slate(space: MetricSpace, slate) -> np.ndarray:
     return slate
 
 
-def _rank(dist: np.ndarray, order: np.ndarray) -> None:
+def _rank(dist: np.ndarray, order: np.ndarray, locations=None) -> None:
     """Fill ``order`` (int64, C-contiguous, the shape of ``dist``) with each
     row of ``dist`` ranked along the last axis by (distance, candidate
     index), as the stable argsort ranks it; an ``order`` one column wide
     gets the top choice alone, the first-index argmin.  Integer ``dist``
-    holds dense ranks: rank << b | index keys are unique and exact."""
+    holds dense ranks: rank << b | index keys are unique and exact.
+    ``locations`` (see ``_key_rank``) may name the candidates of float rows."""
     if order.shape[-1] == 1:
         np.argmin(dist, axis=-1, keepdims=True, out=order)
         return
@@ -155,11 +158,11 @@ def _rank(dist: np.ndarray, order: np.ndarray) -> None:
     dist, order = dist.reshape(-1, n), order.reshape(-1, n)
     rows = slice(None)
     if dist.dtype == np.float64 and _KEY_MIN_N <= n <= _KEY_MAX_N:
-        rows = _key_rank(dist, order)
+        rows = _key_rank(dist, order, locations)
     order[rows] = np.argsort(dist[rows], axis=-1, kind="stable")
 
 
-def _key_rank(dist: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _key_rank(dist: np.ndarray, order: np.ndarray, locations=None) -> np.ndarray:
     """Rank the rows of a float64 ``dist`` (R, n) into ``order`` by one
     integer sort of packed keys, and return the rows whose order it cannot
     vouch for, for the stable argsort to rank.
@@ -171,9 +174,13 @@ def _key_rank(dist: np.ndarray, order: np.ndarray) -> np.ndarray:
     order is the stable argsort's unless two distances differ only in the
     cleared bits (their keys then sit next to each other with equal high
     bits) or the row holds a negative distance, a NaN or +inf (its largest
-    key reaches +inf's bits).  Those rows are checked: read in key order,
-    their distances must be non-decreasing, which with the index bits
-    breaking every tie proves the order; the rows that fail are returned.
+    key reaches +inf's bits).  Those rows alone are checked: read in key
+    order, their distances must be non-decreasing, which with the index
+    bits breaking every tie proves the order; the rows that fail are
+    returned.  ``locations``, a (T, n) array for rows that cycle through T
+    slates, labels each slate's candidates: two with one label have
+    bit-equal distances in every row (a derived space's duplicate
+    candidates), so their tie needs no check.
     """
     n = dist.shape[1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
@@ -182,18 +189,19 @@ def _key_rank(dist: np.ndarray, order: np.ndarray) -> np.ndarray:
     keys &= ~low
     keys |= np.arange(n, dtype=np.uint64)
     keys.sort(axis=1)
-    suspect = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
-    suspect |= keys[:, -1] >= _INF_BITS
+    # neighbours with equal high bits, found over the flat keys
+    flat = keys.ravel()
+    high = np.bitwise_xor(flat[1:], flat[:-1], out=_buffer("high", (flat.size - 1,), np.uint64))
+    tied = np.less_equal(high, low, out=_buffer("tied", high.shape, bool))
+    tied[n - 1 :: n] = False  # the pairs that span two rows
+    at = np.flatnonzero(tied)
+    if locations is not None and at.size:
+        slate = at // n % len(locations)
+        at = at[locations[slate, flat[at] & low] != locations[slate, flat[at + 1] & low]]
+    rows = np.union1d(at // n, np.flatnonzero(keys[:, -1] >= _INF_BITS))
     keys &= low
-    if not suspect.any():  # no duplicate candidate and no near tie
-        return np.zeros(0, np.intp)
-    # distances in key order, read through flat indices that are added to
-    # order and taken out again in place: one temporary of dist's size
-    offsets = np.arange(0, dist.size, n)[:, None]
-    order += offsets
-    ranked = dist.ravel().take(order)
-    order -= offsets
-    return np.flatnonzero(suspect & ~(ranked[:, 1:] >= ranked[:, :-1]).all(axis=1))
+    ranked = np.take_along_axis(dist[rows], order[rows], axis=1)
+    return rows[~(ranked[:, 1:] >= ranked[:, :-1]).all(axis=1)]
 
 
 def _kernel_space(space: MetricSpace, exact: bool):
@@ -202,8 +210,9 @@ def _kernel_space(space: MetricSpace, exact: bool):
     space's dense ranks (float, or exact with ``scaled`` masses and costs)
     or a derived space's float64 distances, which have no costs."""
     if space.matrix is None:
-        def lookup(lo, hi, cols):
-            return np.asarray(space.dist_block(np.arange(lo, hi)[:, None], cols[None]), np.float64)
+        def lookup(lo, hi, cols):  # an array the kernel owns: _location_sum writes it
+            dist = np.asarray(space.dist_block(np.arange(lo, hi)[:, None], cols[None]), np.float64)
+            return dist if dist.flags.writeable else dist.copy()
         return lookup, space.mass, None
     if exact:
         return (lambda lo, hi, cols: space.scaled_ranks[lo:hi].take(cols, axis=1),
@@ -224,7 +233,8 @@ def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = Fa
     order[i, t] ranks them by (distance, candidate index), or is only its
     first column when ``top_only``.  A pass of at most ``_PASS_ELEMENTS``
     elements (at least one location) never crosses a summation block's
-    end; order is a view of a buffer the next pass overwrites."""
+    end; order is a view of a buffer the next pass overwrites.  The slates
+    label their candidates' locations for ``_key_rank``."""
     count, n = slates.shape
     cols = slates.ravel()
     step = min(max(1, _PASS_ELEMENTS // slates.size), _CHUNK_ROWS, npoints)
@@ -234,7 +244,7 @@ def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = Fa
             hi = min(lo + step, stop)
             dist = lookup(lo, hi, cols).reshape(hi - lo, count, n)
             order = _buffer("order", (hi - lo, count, 1 if top_only else n), np.int64)
-            _rank(dist, order)
+            _rank(dist, order, slates)
             yield slice(lo, hi), dist, order
 
 
@@ -316,10 +326,9 @@ def _elect(lookup, mass, costs, scores, slates):
 
 def _location_sum(partial, mass, dist):
     """``partial`` plus the mass[i] * dist[i, j] of each column j, summed in row
-    order (no BLAS; add.reduce sums a lone column pairwise, cumsum does not)."""
-    # allocated per pass: a workspace buffer, cold in cache after the
-    # lookup, ran full-scale Plurality elections 2-4% slower
-    terms = mass[:, None] * dist
+    order (no BLAS; add.reduce sums a lone column pairwise, cumsum does not).
+    The terms overwrite ``dist``, a pass's distances that the kernel owns."""
+    terms = np.multiply(dist, mass[:, None], out=dist)
     terms[0] += partial
     if terms.shape[1] == 1:
         return np.cumsum(terms[:, 0])[-1:]

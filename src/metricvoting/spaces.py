@@ -93,7 +93,9 @@ class MetricSpace:
 
     Construct with either ``matrix`` (stored symmetric distances) or
     ``block_fn`` (a pure broadcasting callable ``(i, j) -> float array`` for
-    lazily derived distances).  A numeric numpy array is taken as float64;
+    lazily derived distances, each entry a function of its (i, j) alone;
+    elections write into a writeable array it returns, so it returns a
+    fresh one or a read-only one).  A numeric numpy array is taken as float64;
     a space is exact when its masses and matrix are Python numbers or object
     arrays, every value an int or a Fraction.  All operations are pure;
     instances are safe to share across workers.
@@ -196,7 +198,7 @@ class MetricSpace:
     def distances_from(self, i: int) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix[i]
-        return self.dist_block(np.full(self.npoints, i), np.arange(self.npoints))
+        return self.dist_block(i, np.arange(self.npoints))
 
 
 @dataclass(frozen=True)

@@ -344,6 +344,25 @@ def test_derived_distance_paths_agree_bit_for_bit(data):
         assert space.distances_from(i).tobytes() == row.tobytes()
 
 
+def test_distances_from_broadcasts_its_index():
+    # a derived row passes its index as a scalar: the pair formula's chunks
+    # hold about seven times the row, and an index array of the row's length
+    # would add one more
+    params = small_params(n=64, big_n=1 << 16, m_atoms=512)
+    space = build_instance(params, seed=5).space
+    cols = np.arange(space.npoints)
+    for i in (12, space.npoints - 3):
+        want = space.dist_block(np.full(space.npoints, i), cols)
+        tracemalloc.start()
+        try:
+            row = space.distances_from(i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.tobytes() == want.tobytes()
+        assert peak < 7.5 * row.nbytes
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_keyed_pass_agrees_with_pair_formula(data):

@@ -223,6 +223,25 @@ def test_derived_social_costs_are_election_costs(npoints):
     assert one_median(space) == optima[0]
 
 
+def test_read_only_derived_distances_elect_as_brute_force():
+    # an election forms its cost terms in a pass's own distances: a
+    # read-only block from block_fn is copied first, never written
+    matrix = random_space(6, 40, "uniform-box-L2").matrix
+
+    def read_only(i, j):
+        block = matrix[i, j]
+        block.flags.writeable = False
+        return block
+
+    space = MetricSpace(np.full(40, 1 / 40), block_fn=read_only)
+    for n in (1, 5, 16, 70):
+        slate = montecarlo.sample_candidates(space, n, 6, n)
+        for family in ("plurality", "borda"):
+            vec = parse_family(family).score_vector(n)
+            assert run_election(space, slate, vec) == brute_force_outcome(space, slate, vec)
+    assert social_cost(space, 7) == brute_force_outcome(space, [7], Borda().score_vector(1)).winner_cost
+
+
 def test_rankings_reject_bad_slate(line_space):
     with pytest.raises(ValueError):
         rankings(line_space, [0, 5])
@@ -509,9 +528,9 @@ def _spy_rank(monkeypatch):
     seen = []
     original = elections._rank
 
-    def spy(dist, order):  # records whether only the top choice is ranked
+    def spy(dist, order, *args):  # records whether only the top choice is ranked
         seen.append(order.shape[-1] == 1)
-        return original(dist, order)
+        return original(dist, order, *args)
 
     monkeypatch.setattr(elections, "_rank", spy)
     return seen
@@ -576,8 +595,8 @@ def _spy_key_rank(monkeypatch):
     repaired = []  # rows handed back to the stable argsort, per call
     original = elections._key_rank
 
-    def spy(dist, order):
-        rows = original(dist, order)
+    def spy(dist, order, *args):
+        rows = original(dist, order, *args)
         repaired.append(len(rows))
         return rows
 
@@ -611,6 +630,63 @@ def test_key_ranking_equals_stable_argsort(data):
     if data.draw(st.booleans()):  # a duplicated candidate column
         dist[..., rng.integers(n)] = dist[..., rng.integers(n)]
     assert np.array_equal(_ranked(dist), np.argsort(dist, axis=-1, kind="stable"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_duplicate_aware_key_ranking_equals_stable_argsort(data):
+    # rows cycle through several slates, each with its own locations: the
+    # candidates at one location share their distances bit for bit, and
+    # pool values (cleared-bit variants, +-0, NaN, infinities, negatives)
+    # tie distinct locations
+    n = data.draw(st.sampled_from(_KEY_WIDTHS[1:-1]))
+    count, rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    sites = data.draw(st.integers(1, n))
+    locations = rng.integers(0, sites, (count, n))
+    at_site = rng.random((rows, count, sites)) + 1.0
+    values = st.one_of(_TIED, _ODD) if data.draw(st.booleans()) else _TIED
+    pool = sum(data.draw(st.lists(values, min_size=1, max_size=6)), [])
+    mask = rng.random(at_site.shape) < data.draw(st.sampled_from([0.0, 0.1, 0.9]))
+    at_site[mask] = rng.choice(pool, size=int(mask.sum()))
+    dist = np.ascontiguousarray(at_site[:, np.arange(count)[:, None], locations])
+    order = np.empty(dist.shape, np.int64)
+    elections._rank(dist, order, locations)
+    assert np.array_equal(order, np.argsort(dist, axis=-1, kind="stable"))
+
+
+def test_duplicate_far_atom_needs_no_key_check(monkeypatch):
+    # near candidates and one far atom twice: the twins tie bit for bit and
+    # every other distance is apart, so the keys prove every row's order.
+    # No row goes to the argsort, and none is re-read in key order, which
+    # would hold a temporary of the pass's size
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        params = solve_parameters(1.25, n_override=16, big_n_override=4096, m_atoms=512)
+    space = build_instance(params, seed=5).space
+    slate = np.r_[np.arange(150, 4096, 300), [4096 + 9] * 2]
+    assert slate.size == 16 >= _KEY_MIN
+    vec = Borda().score_vector(16)
+    run_election(space, slate, vec)  # grows the thread's workspace
+    seen = []
+    original = elections._key_rank
+
+    def spy(dist, order, *args):
+        tracemalloc.start()
+        try:
+            rows = original(dist, order, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen.append((len(rows), peak < dist.nbytes / 2))
+        return rows
+
+    monkeypatch.setattr(elections, "_key_rank", spy)
+    rows = np.arange(space.npoints)
+    want = np.argsort(space.dist_block(rows[:, None], slate[None]), axis=-1, kind="stable")
+    assert np.array_equal(rankings(space, slate), want)
+    run_election(space, slate, vec)
+    assert seen and set(seen) == {(0, True)}
 
 
 def test_key_ranking_of_signed_zeros_and_nan_payloads():

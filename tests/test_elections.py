@@ -701,7 +701,7 @@ def test_key_ranking_of_signed_zeros_and_nan_payloads():
     assert np.array_equal(_ranked(dist), np.argsort(dist, axis=-1, kind="stable"))
 
 
-@pytest.mark.parametrize("n", [_KEY_MIN, 32, 33, 64, 65, _KEY_CAP])
+@pytest.mark.parametrize("n", [_KEY_MIN, 12, 32, 33, 64, 65, _KEY_CAP])
 def test_key_ranking_repairs_ties_in_cleared_bits(monkeypatch, n):
     repaired = _spy_key_rank(monkeypatch)
     variants = _cleared_bit_variants(1.5, n)
@@ -717,6 +717,7 @@ def test_key_ranking_repairs_ties_in_cleared_bits(monkeypatch, n):
 @pytest.mark.parametrize("n, dtype, keyed", [
     (_KEY_MIN - 1, float, False),
     (_KEY_MIN, float, True),
+    (12, float, True),
     (_KEY_CAP + 1, float, False),
     (64, object, False),
 ])

@@ -136,13 +136,13 @@ def _checked_slate(space: MetricSpace, slate) -> np.ndarray:
     return slate
 
 
-def _rank(dist: np.ndarray, order: np.ndarray, locations=None) -> None:
+def _rank(dist: np.ndarray, order: np.ndarray, locations: np.ndarray) -> None:
     """Fill ``order`` (int64, C-contiguous, the shape of ``dist``) with each
     row of ``dist`` ranked along the last axis by (distance, candidate
     index), as the stable argsort ranks it; an ``order`` one column wide
     gets the top choice alone, the first-index argmin.  Integer ``dist``
     holds dense ranks: rank << b | index keys are unique and exact.
-    ``locations`` (see ``_key_rank``) may name the candidates of float rows."""
+    ``locations`` (see ``_key_rank``) names the candidates of float rows."""
     if order.shape[-1] == 1:
         np.argmin(dist, axis=-1, keepdims=True, out=order)
         return
@@ -162,7 +162,7 @@ def _rank(dist: np.ndarray, order: np.ndarray, locations=None) -> None:
     order[rows] = np.argsort(dist[rows], axis=-1, kind="stable")
 
 
-def _key_rank(dist: np.ndarray, order: np.ndarray, locations=None) -> np.ndarray:
+def _key_rank(dist: np.ndarray, order: np.ndarray, locations: np.ndarray) -> np.ndarray:
     """Rank the rows of a float64 ``dist`` (R, n) into ``order`` by one
     integer sort of packed keys, and return the rows whose order it cannot
     vouch for, for the stable argsort to rank.
@@ -195,7 +195,7 @@ def _key_rank(dist: np.ndarray, order: np.ndarray, locations=None) -> np.ndarray
     tied = np.less_equal(high, low, out=_buffer("tied", high.shape, bool))
     tied[n - 1 :: n] = False  # the pairs that span two rows
     at = np.flatnonzero(tied)
-    if locations is not None and at.size:
+    if at.size:  # most passes hold no tie
         slate = at // n % len(locations)
         at = at[locations[slate, flat[at] & low] != locations[slate, flat[at + 1] & low]]
     rows = np.union1d(at // n, np.flatnonzero(keys[:, -1] >= _INF_BITS))

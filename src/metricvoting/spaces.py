@@ -93,9 +93,9 @@ class MetricSpace:
 
     Construct with either ``matrix`` (stored symmetric distances) or
     ``block_fn`` (a pure broadcasting callable ``(i, j) -> float array`` for
-    lazily derived distances, each entry a function of its (i, j) alone;
-    elections write into a writeable array it returns, so it returns a
-    fresh one or a read-only one).  A numeric numpy array is taken as float64;
+    lazily derived distances, each entry bit for bit a function of its
+    (i, j) alone, whatever the call's shape; elections write into a
+    writeable array it returns, so it returns a fresh or read-only one).  A numeric numpy array is taken as float64;
     a space is exact when its masses and matrix are Python numbers or object
     arrays, every value an int or a Fraction.  All operations are pure;
     instances are safe to share across workers.

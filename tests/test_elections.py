@@ -579,8 +579,9 @@ _KEY_WIDTHS = [_KEY_MIN - 1, _KEY_MIN, _KEY_MIN + 1, 32, 33, 64, 65, _KEY_CAP, _
 
 
 def _ranked(dist):
+    # every candidate at its own location: each tie between two is checked
     order = np.empty(dist.shape, np.int64)
-    elections._rank(dist, order)
+    elections._rank(dist, order, np.arange(dist.shape[-1])[None])
     return order
 
 

@@ -13,7 +13,8 @@ block's sums in location order; the blocks are then added in order, so
 passes change no output bit and an election holds a few MiB.  A pass's
 ranking, sort keys and weights are views of grow-only buffers that each
 thread keeps (``_buffer``, a few MiB), valid until the next pass: small
-elections fault in no new pages.
+elections fault in no new pages.  A pass whose masses are one float64
+takes its weights from one tile per mass value and election instead.
 
 Every ranking is the stable argsort's, bit for bit.  Plurality needs only
 the first-index argmin.  Stored spaces read no distance: their elections
@@ -21,10 +22,11 @@ sort exact keys, a distance's dense rank (``MetricSpace.ranks``) above the
 candidate index.  A derived space's float rows of 6 to 4096 candidates
 sort packed keys too (a distance's bits with the candidate index in its low
 bits, ``_key_rank``).  Only the rows where two locations' keys tie, or that
-hold a NaN, an infinity or a negative distance, are checked; a duplicate
-candidate ties its twin bit for bit and needs no check.  The rows that
-fail it, and every narrower or wider row, take the stable argsort.  A
-derived space's pass then turns its distances into cost terms in place.
+hold a NaN or an infinity, are checked; a duplicate candidate ties its
+twin bit for bit and needs no check.  The rows that fail it, rows with a
+sign bit set (a negative distance or -0.0), and every narrower or wider
+row take the stable argsort.  A derived space's pass then sums its costs
+with one ``np.einsum``, its block's partial sums written into its first row.
 
 ``brute_force_outcome`` is a deliberately naive second implementation kept
 free of any shared ranking/scoring code; it exists so the fast path can be
@@ -63,7 +65,7 @@ _KEY_MIN_N = 6
 _KEY_MAX_N = 1 << 12
 #: +inf's float64 bits: a row whose largest key reaches them holds +inf, a
 #: NaN (one whose payload sits in the cleared bits keys like +inf) or a
-#: negative distance (sign bit set)
+#: distance with its sign bit set (a negative one or -0.0)
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 #: derived-distance costs summed at once; all P take O(P^2) distances
 _DERIVED_MEDIAN_CAP = 4096
@@ -168,25 +170,24 @@ def _key_rank(dist: np.ndarray, order: np.ndarray, locations: np.ndarray) -> np.
     vouch for, for the stable argsort to rank.
 
     A key is a distance's float64 bits as uint64 with the low b bits
-    replaced by the candidate index (2^b >= n), so keys are unique and an
-    unstable sort puts them in one order, with equal distances by index.
-    Non-negative floats (-0.0 made +0.0) sort as their bits do, so that
-    order is the stable argsort's unless two distances differ only in the
-    cleared bits (their keys then sit next to each other with equal high
-    bits) or the row holds a negative distance, a NaN or +inf (its largest
-    key reaches +inf's bits).  Those rows alone are checked: read in key
-    order, their distances must be non-decreasing, which with the index
-    bits breaking every tie proves the order; the rows that fail are
-    returned.  ``locations``, a (T, n) array for rows that cycle through T
-    slates, labels each slate's candidates: two with one label have
-    bit-equal distances in every row (a derived space's duplicate
-    candidates), so their tie needs no check.
+    replaced by the candidate index (2^b >= n), built in two passes, so
+    keys are unique and an unstable sort puts them in one order, with
+    equal distances by index.  Non-negative floats sort as their bits do,
+    so that order is the stable argsort's unless two distances differ only
+    in the cleared bits (their keys then sit next to each other with equal
+    high bits) or the row holds a NaN, +inf or a sign bit (its largest key
+    reaches +inf's bits).  Those rows are checked: read in key order, their
+    distances must be non-decreasing, which with the index bits breaking
+    every tie proves the order.  The rows that fail, and every row with a
+    sign bit, whose -0.0 keys after the +0.0 it equals, are returned.
+    ``locations``, a (T, n) array for rows that cycle through T slates,
+    labels each slate's candidates: two with one label have bit-equal
+    distances in every row (a derived space's duplicate candidates), so
+    their tie needs no check.
     """
     n = dist.shape[1]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    keys = order.view(np.uint64)
-    np.add(dist, 0.0, out=keys.view(np.float64))
-    keys &= ~low
+    keys = np.bitwise_and(dist.view(np.uint64), ~low, out=order.view(np.uint64))
     keys |= np.arange(n, dtype=np.uint64)
     keys.sort(axis=1)
     # neighbours with equal high bits, found over the flat keys
@@ -194,30 +195,36 @@ def _key_rank(dist: np.ndarray, order: np.ndarray, locations: np.ndarray) -> np.
     high = np.bitwise_xor(flat[1:], flat[:-1], out=_buffer("high", (flat.size - 1,), np.uint64))
     tied = np.less_equal(high, low, out=_buffer("tied", high.shape, bool))
     tied[n - 1 :: n] = False  # the pairs that span two rows
+    flagged = np.flatnonzero(keys[:, -1] >= _INF_BITS)
+    keys &= low
     at = np.flatnonzero(tied)
     if at.size:  # most passes hold no tie
-        slate = at // n % len(locations)
-        at = at[locations[slate, flat[at] & low] != locations[slate, flat[at + 1] & low]]
-    rows = np.union1d(at // n, np.flatnonzero(keys[:, -1] >= _INF_BITS))
-    keys &= low
-    ranked = np.take_along_axis(dist[rows], order[rows], axis=1)
-    return rows[~(ranked[:, 1:] >= ranked[:, :-1]).all(axis=1)]
+        slate = at // n % len(locations) if len(locations) > 1 else 0
+        index = order.ravel()  # the candidates at flat positions at and at + 1
+        at = at[locations[slate, index[at]] != locations[slate, index[1:][at]]]
+    rows = np.union1d(at // n, flagged)
+    checked = dist[rows]
+    ranked = np.take_along_axis(checked, order[rows], axis=1)
+    # a -0.0 keys after the +0.0 that it equals: only the argsort ranks it
+    return rows[np.signbit(checked).any(axis=1) | ~(ranked[:, 1:] >= ranked[:, :-1]).all(axis=1)]
 
 
 def _kernel_space(space: MetricSpace, exact: bool):
     """(lookup, masses, location costs) for the kernel: ``lookup(lo, hi, cols)``
     gives locations lo..hi-1 against candidate locations ``cols``, a stored
-    space's dense ranks (float, or exact with ``scaled`` masses and costs)
-    or a derived space's float64 distances, which have no costs."""
+    space's dense ranks (float, or exact with ``scaled`` masses and costs),
+    gathered into this thread's ``ranks`` buffer, or a derived space's
+    float64 distances, which have no costs.  ``cols`` must be in range."""
     if space.matrix is None:
-        def lookup(lo, hi, cols):  # an array the kernel owns: _location_sum writes it
-            dist = np.asarray(space.dist_block(np.arange(lo, hi)[:, None], cols[None]), np.float64)
-            return dist if dist.flags.writeable else dist.copy()
+        def lookup(lo, hi, cols):  # a C-ordered array the kernel owns: _location_sum writes it
+            return np.require(space.dist_block(np.arange(lo, hi)[:, None], cols[None]), np.float64, "CW")
         return lookup, space.mass, None
-    if exact:
-        return (lambda lo, hi, cols: space.scaled_ranks[lo:hi].take(cols, axis=1),
-                space.scaled[0], space.scaled_costs)
-    return (lambda lo, hi, cols: space.ranks[lo:hi].take(cols, axis=1)), space.mass, space.costs
+    ranks, mass, costs = ((space.scaled_ranks, space.scaled[0], space.scaled_costs) if exact
+                          else (space.ranks, space.mass, space.costs))
+
+    def lookup(lo, hi, cols):
+        return ranks[lo:hi].take(cols, 1, _buffer("ranks", (hi - lo, cols.size), ranks.dtype), "clip")
+    return lookup, mass, costs
 
 
 def _batch_step(npoints, n):
@@ -234,9 +241,13 @@ def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = Fa
     first column when ``top_only``.  A pass of at most ``_PASS_ELEMENTS``
     elements (at least one location) never crosses a summation block's
     end; order is a view of a buffer the next pass overwrites.  The slates
-    label their candidates' locations for ``_key_rank``."""
+    label their candidates' locations for ``_key_rank`` in a narrow int
+    dtype; an entry outside 0..npoints-1 raises IndexError."""
     count, n = slates.shape
     cols = slates.ravel()
+    if cols.min() < 0 or cols.max() >= npoints:  # every lookup takes them unchecked
+        raise IndexError(f"slate entries must be point indices below {npoints}")
+    labels = slates.astype(_int_dtype(npoints - 1))  # a tie's label gathers stay small
     step = min(max(1, _PASS_ELEMENTS // slates.size), _CHUNK_ROWS, npoints)
     for start in range(0, npoints, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, npoints)
@@ -244,7 +255,7 @@ def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = Fa
             hi = min(lo + step, stop)
             dist = lookup(lo, hi, cols).reshape(hi - lo, count, n)
             order = _buffer("order", (hi - lo, count, 1 if top_only else n), np.int64)
-            _rank(dist, order, slates)
+            _rank(dist, order, labels)
             yield slice(lo, hi), dist, order
 
 
@@ -308,6 +319,7 @@ def _elect(lookup, mass, costs, scores, slates):
     # slate t's candidates are bins t*n .. t*n + n - 1, and a pass is laid
     # out (location, slate, candidate): each bin sums in location order
     offsets = np.arange(0, count * n, n)[:, None]
+    tile = tile_mass = None  # weights of passes whose masses are one float64, and that mass's bytes
     for rows, dist, order in _ranked_passes(lookup, mass.size, slates, width == 1):
         if rows.start % _CHUNK_ROWS == 0:
             blocks.append(np.zeros((sums, count * n), dtype))
@@ -315,10 +327,18 @@ def _elect(lookup, mass, costs, scores, slates):
         if count > 1:  # a lone slate's offset is 0
             order += offsets
         # the same mass * score weights for every slate, laid out like order
-        weights = np.multiply(mass[rows][:, None, None], scores[:width], out=_buffer("weights", order.shape, dtype))
+        m = mass[rows]
+        if dtype == np.float64 and m[0] == m[-1] and (m.view(np.uint64) == m[:1].view(np.uint64)).all():
+            # one mass: a prefix of a tile built once per value (no workspace view)
+            if tile is None or len(tile) < len(m) or tile_mass != m[:1].tobytes():
+                tile, tile_mass = np.empty(order.shape), m[:1].tobytes()
+                np.multiply(m[:, None, None], scores[:width], out=tile)
+            weights = tile[: len(m)]
+        else:
+            weights = np.multiply(m[:, None, None], scores[:width], out=_buffer("weights", order.shape, dtype))
         np.add.at(block[0], order.ravel(), weights.ravel())
         if costs is None:
-            block[1] = _location_sum(block[1], mass[rows], dist.reshape(len(dist), -1))
+            block[1] = _location_sum(block[1], m, dist.reshape(len(dist), -1))
     totals = reduce(np.add, blocks).reshape(sums, count, n)  # block by block
     costs = totals[1] if costs is None else costs[slates]
     return totals[0], costs, totals[0].argmax(axis=1), costs.argmin(axis=1)
@@ -326,13 +346,18 @@ def _elect(lookup, mass, costs, scores, slates):
 
 def _location_sum(partial, mass, dist):
     """``partial`` plus the mass[i] * dist[i, j] of each column j, summed in row
-    order (no BLAS; add.reduce sums a lone column pairwise, cumsum does not).
-    The terms overwrite ``dist``, a pass's distances that the kernel owns."""
-    terms = np.multiply(dist, mass[:, None], out=dist)
-    terms[0] += partial
-    if terms.shape[1] == 1:
-        return np.cumsum(terms[:, 0])[-1:]
-    return np.add.reduce(terms, axis=0)
+    order: ``partial`` joins row 0's terms, written into row 0 of ``dist`` (a
+    C-ordered pass the kernel owns), which then takes a mass of 1.0, and
+    ``np.einsum`` adds the rows one by one from +0.0, as ``MetricSpace.costs``
+    sums (no BLAS; block sums start from +0.0, so none is -0.0).  A lone
+    column takes ``cumsum``: einsum sums one column unrolled."""
+    mass = mass.copy()
+    dist[0] *= mass[0]
+    dist[0] += partial
+    mass[0] = 1.0
+    if dist.shape[1] == 1:
+        return np.cumsum(mass * dist[:, 0])[-1:]
+    return np.einsum("i,ij->j", mass, dist)
 
 
 def _location_costs(space: MetricSpace, locations) -> np.ndarray:

@@ -72,12 +72,13 @@ def _exact_type(kind) -> bool:
 
 
 def _intake(values, ndim: int):
-    """Masses, distances or coordinates, ``ndim``-dimensional, as (float64
-    array, the values in row-major order as Fractions, or None): a numeric
-    numpy array is float64 as given; Python numbers or an object array are
-    exact when every value is an int or a Fraction."""
+    """Masses, distances or coordinates, ``ndim``-dimensional, as (C-ordered
+    float64 array, the values in row-major order as Fractions, or None): a
+    numeric numpy array is float64 as given; Python numbers or an object
+    array are exact when every value is an int or a Fraction.  C order makes
+    ``MetricSpace.costs`` sum each column in location order."""
     numeric = isinstance(values, np.ndarray) and values.dtype != object
-    values = np.asarray(values, dtype=np.float64 if numeric else object)
+    values = np.asarray(values, dtype=np.float64 if numeric else object, order="C")
     if values.ndim != ndim:  # ragged rows make a 1-dimensional object array
         raise ValueError(f"expected {ndim}-dimensional numbers, got shape {values.shape}")
     if numeric:
@@ -94,11 +95,13 @@ class MetricSpace:
     Construct with either ``matrix`` (stored symmetric distances) or
     ``block_fn`` (a pure broadcasting callable ``(i, j) -> float array`` for
     lazily derived distances, each entry bit for bit a function of its
-    (i, j) alone, whatever the call's shape; elections write into a
-    writeable array it returns, so it returns a fresh or read-only one).  A numeric numpy array is taken as float64;
-    a space is exact when its masses and matrix are Python numbers or object
-    arrays, every value an int or a Fraction.  All operations are pure;
-    instances are safe to share across workers.
+    (i, j) alone, whatever the call's shape; elections overwrite the first
+    row of a writeable C-ordered float64 array it returns and copy any
+    other, so it returns a fresh or read-only one).  A numeric numpy array
+    is taken as float64 and stored in C order; a space is exact when its
+    masses and matrix are Python numbers or object arrays, every value an
+    int or a Fraction.  All operations are pure; instances are safe to
+    share across workers.
     """
 
     def __init__(

@@ -11,8 +11,9 @@ all large n.  A shifted variant supports the sufficiency argument: offset m
 moves the left sum to s(m+k) - s(m+Y), and slack factor 2 doubles rhs.  Both
 are exact rational arithmetic, computed once from the materialized scores
 (the reference) and once from each family's closed-form prefix sums as
-integer pairs, which is what a scan over the (y, n) grid uses.  A scan can
-only certify a finite horizon, and its verdict says so explicitly.
+integer pairs, which is what a scan over the (y, n) grid uses; its cells
+keep them unreduced and build a reduced Fraction only when a side is read.
+A scan can only certify a finite horizon, and its verdict says so explicitly.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ def _vector_sides(vector: ScoringVector, q: Fraction, m: int, slack: int) -> Tup
     return lhs, rhs
 
 
-def _prefix_sides(family: RuleFamily, n: int, q: Fraction, m: int, slack: int) -> tuple:
-    """(lhs, rhs, lhs > rhs) of ``_vector_sides`` from the family's prefix sums
-    P, each side an integer pair over a positive denominator (lhs > rhs
+def _prefix_sides(family: RuleFamily, n: int, q: Fraction, m: int, slack: int, total=None) -> tuple:
+    """(lhs, rhs, lhs > rhs) of ``_vector_sides`` from the family's prefix sums P, P(n) = total
+    if given, each side an unreduced integer pair over a positive denominator (lhs > rhs
     cross-multiplies them): P(m+Q) - P(m) - Q*s(m+Q) = (Q+1)*P(m+Q) - P(m) - Q*P(m+Q+1)."""
     q_num, q_den = q.numerator, q.denominator
     big = _ceil_y(q, n, m)
@@ -81,9 +82,9 @@ def _prefix_sides(family: RuleFamily, n: int, q: Fraction, m: int, slack: int) -
         head = _minus(head, family._prefix_terms(n, m))
     num, den = _minus(head, (big * r_num, r_den))
     lhs_num, lhs_den = q_num * num, q_den * den
-    tail_num, tail_den = _minus(family._prefix_terms(n, n), family._prefix_terms(n, n - big))
+    tail_num, tail_den = _minus(total or family._prefix_terms(n, n), family._prefix_terms(n, n - big))
     rhs_num, rhs_den = slack * (q_den - q_num) * (big * tail_den - tail_num), q_den * tail_den
-    return Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den), lhs_num * rhs_den > rhs_num * lhs_den
+    return (lhs_num, lhs_den), (rhs_num, rhs_den), lhs_num * rhs_den > rhs_num * lhs_den
 
 
 def condition_sides(vector: ScoringVector, y) -> Tuple[Fraction, Fraction]:
@@ -109,7 +110,7 @@ def condition_sides_family(family: RuleFamily, n: int, y) -> Tuple[Fraction, Fra
     y = Fraction(y)
     if not 0 < y.numerator < y.denominator:
         raise ValueError("y must lie in (0, 1)")
-    return _prefix_sides(family, n, y, 0, 1)[:2]
+    return tuple(Fraction(*side) for side in _prefix_sides(family, n, y, 0, 1)[:2])
 
 
 def shifted_sides_family(family: RuleFamily, n: int, z, m: int) -> Tuple[Fraction, Fraction]:
@@ -117,16 +118,30 @@ def shifted_sides_family(family: RuleFamily, n: int, z, m: int) -> Tuple[Fractio
     z = Fraction(z)
     if not z.denominator < 2 * z.numerator < 2 * z.denominator:
         raise ValueError("z must lie in (1/2, 1)")
-    return _prefix_sides(family, n, z, m, 2)[:2]
+    return tuple(Fraction(*side) for side in _prefix_sides(family, n, z, m, 2)[:2])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ConditionCell:
     y: Fraction
     n: int
-    lhs: Fraction
-    rhs: Fraction
+    lhs_terms: tuple  # unreduced (num, den) over den > 0; ``lhs`` reduces it on read
+    rhs_terms: tuple
     holds: bool  # lhs > rhs, strictly: ties count as failure
+
+    lhs = property(lambda self: Fraction(*self.lhs_terms))
+    rhs = property(lambda self: Fraction(*self.rhs_terms))
+
+    def _key(self) -> tuple:  # equality and hash go by the reduced sides
+        return self.y, self.n, self.lhs, self.rhs, self.holds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -180,17 +195,16 @@ def scan(
     cells = []
     certified = []  # (y, n0) for qualifying y
     any_late_hold = False
+    totals = [(n, family._prefix_terms(n, n)) for n in range(n_min, n_max + 1)]  # P(n) for every y
     for y in y_grid:
-        last_fail = None
-        for n in range(n_min, n_max + 1):
-            cell = ConditionCell(y, n, *_prefix_sides(family, n, y, 0, 1))
+        n0 = n_min  # the first n after the last failure
+        for n, total in totals:
+            cell = ConditionCell(y, n, *_prefix_sides(family, n, y, 0, 1, total))
             cells.append(cell)
-            if cell.holds:
-                if 2 * n >= n_max:
-                    any_late_hold = True
-            else:
-                last_fail = n
-        n0 = n_min if last_fail is None else last_fail + 1
+            if not cell.holds:
+                n0 = n + 1
+            elif 2 * n >= n_max:
+                any_late_hold = True
         if n0 <= n_max and 2 * n0 <= n_max:
             certified.append((y, n0))
 

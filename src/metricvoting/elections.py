@@ -201,7 +201,8 @@ def _key_rank(dist: np.ndarray, order: np.ndarray, locations: np.ndarray) -> np.
     if at.size:  # most passes hold no tie
         slate = at // n % len(locations) if len(locations) > 1 else 0
         index = order.ravel()  # the candidates at flat positions at and at + 1
-        at = at[locations[slate, index[at]] != locations[slate, index[1:][at]]]
+        labels = locations.astype(_int_dtype(int(locations.max())))  # narrow gathers stay small
+        at = at[labels[slate, index[at]] != labels[slate, index[1:][at]]]
     rows = np.union1d(at // n, flagged)
     checked = dist[rows]
     ranked = np.take_along_axis(checked, order[rows], axis=1)
@@ -241,13 +242,12 @@ def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = Fa
     first column when ``top_only``.  A pass of at most ``_PASS_ELEMENTS``
     elements (at least one location) never crosses a summation block's
     end; order is a view of a buffer the next pass overwrites.  The slates
-    label their candidates' locations for ``_key_rank`` in a narrow int
-    dtype; an entry outside 0..npoints-1 raises IndexError."""
+    label their candidates' locations for ``_key_rank``; an entry outside
+    0..npoints-1 raises IndexError."""
     count, n = slates.shape
     cols = slates.ravel()
     if cols.min() < 0 or cols.max() >= npoints:  # every lookup takes them unchecked
         raise IndexError(f"slate entries must be point indices below {npoints}")
-    labels = slates.astype(_int_dtype(npoints - 1))  # a tie's label gathers stay small
     step = min(max(1, _PASS_ELEMENTS // slates.size), _CHUNK_ROWS, npoints)
     for start in range(0, npoints, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, npoints)
@@ -255,7 +255,7 @@ def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = Fa
             hi = min(lo + step, stop)
             dist = lookup(lo, hi, cols).reshape(hi - lo, count, n)
             order = _buffer("order", (hi - lo, count, 1 if top_only else n), np.int64)
-            _rank(dist, order, labels)
+            _rank(dist, order, slates)
             yield slice(lo, hi), dist, order
 
 

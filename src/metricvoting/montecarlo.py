@@ -141,7 +141,8 @@ def _fan_out(fn, args, start, count, jobs):
     [start, start + count) and return the parts in trial order; with jobs
     capped at the core count, ranges go to one worker process each unless
     jobs <= 1 or under 4 trials."""
-    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or count < 4:
         return [fn(*args, start, count)]
     step = -(-count // jobs)

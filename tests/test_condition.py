@@ -1,3 +1,4 @@
+import math
 import pickle
 from fractions import Fraction as F
 
@@ -176,6 +177,37 @@ def test_scan_cells_hold_no_instance_dict():
     cells = scan(Borda(), n_min=4, n_max=20).cells
     assert not hasattr(cells[0], "__dict__")
     assert pickle.loads(pickle.dumps(cells)) == cells
+
+
+def test_table_scan_cells_match_vectors():
+    # a table family has no closed form: its pairs come from the generic sum
+    for n in sorted(TABLE_FAMILY.rows):
+        vec = TABLE_FAMILY.score_vector(n)
+        for cell in scan(TABLE_FAMILY, n_min=n, n_max=n).cells:
+            lhs, rhs = condition_sides(vec, cell.y)
+            assert (cell.lhs, cell.rhs, cell.holds) == (lhs, rhs, lhs > rhs), (n, cell.y)
+
+
+def test_cells_compare_and_hash_by_reduced_value():
+    # Borda's rows through a table reduce every prefix sum; Borda's closed form
+    # keeps (m*(2(n-1)-(m-1)), 2(n-1)) unreduced, so the raw pairs differ
+    table = TableFamily(rows={n: tuple(range(n - 1, -1, -1)) for n in range(4, 41)})
+    table_cells = scan(table, n_min=4, n_max=40).cells
+    borda_cells = scan(Borda(), n_min=4, n_max=40).cells
+    assert any(a.lhs_terms != b.lhs_terms or a.rhs_terms != b.rhs_terms
+               for a, b in zip(table_cells, borda_cells))
+    assert table_cells == borda_cells
+    assert [hash(c) for c in table_cells] == [hash(c) for c in borda_cells]
+    assert set(table_cells) == set(borda_cells)
+    assert table_cells[0] != borda_cells[1]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
+def test_cell_sides_read_in_lowest_terms(family):
+    for cell in scan(family, y_grid=[F(1, 2), F(7, 8)], n_min=2, n_max=300).cells:
+        for side, (num, den) in ((cell.lhs, cell.lhs_terms), (cell.rhs, cell.rhs_terms)):
+            assert type(side) is F and side == F(num, den)
+            assert side.denominator > 0 and math.gcd(side.numerator, side.denominator) == 1
 
 
 def test_scan_verdict_is_horizon_relative():

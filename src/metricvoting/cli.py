@@ -161,6 +161,8 @@ def cmd_election(args) -> int:
 def cmd_estimate(args) -> int:
     if args.probe_z is not None:
         probe_z = montecarlo.checked_probe_z(args.probe_z)  # before anything is written
+    elif args.probe_out is not None:
+        raise ValueError("--probe-out needs --probe-z")
     seed = _resolve_seed(args)
     space = _load_source(args, seed)
     family = parse_family(args.family)

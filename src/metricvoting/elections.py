@@ -213,15 +213,15 @@ def _key_rank(dist: np.ndarray, order: np.ndarray, locations: np.ndarray) -> np.
 def _kernel_space(space: MetricSpace, exact: bool):
     """(lookup, masses, location costs) for the kernel: ``lookup(lo, hi, cols)``
     gives locations lo..hi-1 against candidate locations ``cols``, a stored
-    space's dense ranks (float, or exact with ``scaled`` masses and costs),
+    space's dense ranks (with float, or exact ``scaled``, masses and costs),
     gathered into this thread's ``ranks`` buffer, or a derived space's
     float64 distances, which have no costs.  ``cols`` must be in range."""
     if space.matrix is None:
         def lookup(lo, hi, cols):  # a C-ordered array the kernel owns: _location_sum writes it
             return np.require(space.dist_block(np.arange(lo, hi)[:, None], cols[None]), np.float64, "CW")
         return lookup, space.mass, None
-    ranks, mass, costs = ((space.scaled_ranks, space.scaled[0], space.scaled_costs) if exact
-                          else (space.ranks, space.mass, space.costs))
+    ranks = space.ranks
+    mass, costs = (space.scaled[0], space.scaled_costs) if exact else (space.mass, space.costs)
 
     def lookup(lo, hi, cols):
         return ranks[lo:hi].take(cols, 1, _buffer("ranks", (hi - lo, cols.size), ranks.dtype), "clip")

@@ -157,17 +157,15 @@ class MetricSpace:
 
     @cached_property
     def ranks(self):
-        """Each stored distance's dense rank among the distinct ones, in
-        ``np.unique`` order (-0.0 ties +0.0, +inf ties +inf, NaNs tie and
-        rank last) and the smallest signed int dtype that holds it: an
-        election's order of candidates, without distances."""
-        distinct, ranks = np.unique(self.matrix, return_inverse=True)
-        return ranks.reshape(self.matrix.shape).astype(_int_dtype(distinct.size - 1))
-
-    @cached_property
-    def scaled_ranks(self):
-        """``ranks`` of an exact space's scaled distances (``scaled``), which
-        keep apart the Fractions that round to one float."""
+        """Each stored distance's dense rank among the distinct ones, in the
+        smallest signed int dtype that holds it: an election's order of
+        candidates, without distances.  Exact spaces rank their ``scaled``
+        distances, so Fractions that round to one float rank apart; float
+        spaces rank in ``np.unique`` order (-0.0 ties +0.0, +inf ties +inf,
+        NaNs tie and rank last)."""
+        if not self.exact:
+            distinct, ranks = np.unique(self.matrix, return_inverse=True)
+            return ranks.reshape(self.matrix.shape).astype(_int_dtype(distinct.size - 1))
         flat = self.scaled[2].ravel().tolist()
         rank = {d: r for r, d in enumerate(sorted(set(flat)))}
         return np.array([rank[d] for d in flat], _int_dtype(len(rank) - 1)).reshape(self.npoints, -1)
@@ -414,20 +412,14 @@ def save_space(space: MetricSpace, path) -> None:
 
 
 def _coords_matrix(coords, metric: str, line: int):
-    npts = len(coords)
     pts, exact = _intake(coords, 2)
-    if metric == "L2":
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
-    if metric not in ("L1", "Linf"):
+    if metric not in ("L1", "L2", "Linf"):
         raise SpaceFormatError(f"unknown metric {metric!r} (expected L1, L2, or Linf)", line)
-    agg = sum if metric == "L1" else max
-    if exact is not None:
-        return [
-            [agg(abs(a - b) for a, b in zip(coords[i], coords[j])) if i != j else Fraction(0) for j in range(npts)]
-            for i in range(npts)
-        ]
+    if exact is not None and metric != "L2":  # L1 and Linf stay exact: an object array of the Fractions
+        pts = np.array(exact, dtype=object).reshape(pts.shape)
     diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    if metric == "L2":
+        return np.sqrt((diff**2).sum(axis=2))
     return diff.sum(axis=2) if metric == "L1" else diff.max(axis=2)
 
 
@@ -481,10 +473,7 @@ def load_space(path, validate_axioms: bool = True) -> MetricSpace:
 
     lineno, tokens = take("matrix or coords")
     if tokens == ["matrix"]:
-        rows = [[None] * npts for _ in range(npts)]
-        zero = Fraction(0)
-        for i in range(npts):
-            rows[i][i] = zero
+        rows = [[Fraction(0)] * npts for _ in range(npts)]  # every entry off the diagonal is read below
         for i in range(1, npts):
             lineno, tokens = take(f"matrix row {i}")
             if len(tokens) != i:

@@ -268,6 +268,28 @@ def test_probe_output(line_file, tmp_path):
     assert lines[1] == "r,outside_mass,event_count,winner_outside_count,violation_count"
 
 
+def test_probe_out_without_probe_z_fails_before_any_output(capsys, line_file, tmp_path):
+    probe_path = tmp_path / "probe.csv"
+    code, out = run_cli("estimate", "--space", line_file, "--family", "borda", "--n", "3",
+                        "--trials", "20", "--seed", "1", "--probe-out", str(probe_path))
+    assert code == 2 and out == "" and not probe_path.exists()
+    assert capsys.readouterr().err == "error: --probe-out needs --probe-z\n"
+
+
+def test_histogram_output(line_file, tmp_path):
+    # one row per distinct distance from the 1-median, location 0 of the
+    # line's points 0, 1 and 3
+    hist_path = tmp_path / "hist.csv"
+    code, _ = run_cli("estimate", "--space", line_file, "--family", "borda", "--n", "3",
+                      "--trials", "20", "--seed", "1", "--histogram-out", str(hist_path))
+    assert code == 0
+    rows = list(csv.reader(hist_path.read_text().splitlines()))
+    assert rows[0] == ["r", "pr_winner_distance_ge_r"]
+    assert [r for r, _ in rows[1:]] == ["0.0", "1.0", "3.0"]
+    pr = [float(p) for _, p in rows[1:]]
+    assert pr[0] == 1.0 and pr == sorted(pr, reverse=True)
+
+
 @pytest.mark.parametrize("row, code", [("1 1e-3 0", 0), ("1 1.0e400 0", 2)])
 def test_scan_table_file_numbers(tmp_path, capsys, row, code):
     path = tmp_path / "scores.table"

@@ -333,8 +333,7 @@ def test_stored_lookups_gather_into_the_workspace():
                          (random_space(3, 40, "iid-unit-interval-distances"), True)):
         lookup, mass, costs = elections._kernel_space(space, exact)
         cols = np.r_[3, 3, space.npoints - 1, np.arange(61) % space.npoints]
-        table = space.scaled_ranks if exact else space.ranks
-        assert np.array_equal(lookup(0, space.npoints, cols), table[:, cols])
+        assert np.array_equal(lookup(0, space.npoints, cols), space.ranks[:, cols])
         tracemalloc.start()
         try:
             lookup(0, space.npoints, cols)
@@ -888,22 +887,23 @@ def test_stored_rankings_and_elections_follow_the_distances(data):
 
 
 def test_exact_ranks_keep_apart_what_floats_round_together():
-    # d(0, 1) = 1 and d(0, 2) = 1 + 2^-60 are one float: the exact kernel
-    # ranks them apart, the float path (every estimate) ties them by index
+    # d(0, 1) = 1 and d(0, 2) = 1 + 2^-60 are one float: the space's one
+    # rank table keeps them apart, so the float path (every estimate) elects
+    # the exact winner, where ranking the floats tied them by index
     rows = [[F(0), F(1), 1 + F(1, 2**60)], [F(1), F(0), F(1)], [1 + F(1, 2**60), F(1), F(0)]]
     space = MetricSpace([F(1, 2), F(1, 8), F(3, 8)], matrix=rows)
-    assert space.ranks[0, 1] == space.ranks[0, 2] and space.scaled_ranks[0, 1] < space.scaled_ranks[0, 2]
+    assert space.matrix[0, 1] == space.matrix[0, 2] and space.ranks[0, 1] < space.ranks[0, 2]
     assert rankings(space, [2, 1])[0].tolist() == [1, 0]
     vec = Plurality().score_vector(2)
     exact, floated = run_election(space, [2, 1], vec), run_election(space, [2, 1], vec, exact=False)
-    assert (exact.winner, floated.winner) == (1, 0) and floated.distortion == 1.0 < exact.distortion
+    assert (exact.winner, floated.winner) == (1, 1) and floated.distortion == pytest.approx(exact.distortion)
     est = montecarlo.estimate_distortion(space, Plurality(), 2, 64, 3)
     tied = 0
     for t in range(64):
         slate = montecarlo.sample_candidates(space, 2, 3, t)
         assert est.distortions[t] == run_election(space, slate, vec, exact=False).distortion
         tied += slate.tolist() == [2, 1]
-    assert tied  # some trial elects the slate whose exact winner differs
+    assert tied  # some trial elects the slate whose distances round together
 
 
 def _spy_calls(monkeypatch):

@@ -76,6 +76,14 @@ def test_exact_oracle_values(two_point_space, asym_line_space):
     assert isinstance(val, F) and val > 1
 
 
+def test_exact_oracle_excludes_zero_cost_optima():
+    # unvalidated (d(1, 2) = 1 > d(1, 0) + d(0, 2) = 0): location 0 costs 0,
+    # and the slates (1, 0) and (2, 0), mass 2/9, elect the other candidate
+    space = MetricSpace([F(1, 3)] * 3, matrix=[[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    with pytest.warns(UserWarning, match=r"excluding probability mass 0\.222222 of zero-cost-optimum slates"):
+        assert exact_expected_distortion(space, Plurality(), 2) == 1
+
+
 def test_exact_oracle_on_float_copy_of_dyadic_space():
     # dyadic masses, distances and scores (Borda at n = 5, Dowdall at n = 3)
     # make every float score sum exact, so the float enumeration elects the

@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -90,6 +91,30 @@ def test_mass_sum_violation():
     space = MetricSpace([F(1, 2), F(2, 5)], matrix=[[0, 1], [1, 0]])
     report = validate(space)
     assert any(v.kind == "mass-sum" for v in report.violations)
+
+
+@pytest.mark.parametrize("mass", [[F(-1, 4), F(3, 4), F(1, 2)], np.array([-0.25, 0.75, 0.5])],
+                         ids=["exact", "float"])
+def test_negative_mass_witnessed(mass):
+    report = validate(MetricSpace(mass, matrix=[[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+    assert [(v.kind, v.witness, v.magnitude) for v in report.violations] == [("mass-negative", (0,), -0.25)]
+    assert type(report.violations[0].magnitude) is (F if isinstance(mass, list) else float)
+
+
+@pytest.mark.parametrize("kind, change, witnesses, magnitudes", [
+    ("diagonal", lambda i, j: (i == 2) & (j == 2), {(2,)}, {1.0}),
+    ("asymmetry", lambda i, j: 0.5 * ((i == 0) & (j == 1)), {(0, 1), (1, 0)}, {0.5, -0.5}),
+    ("negative-distance", lambda i, j: -2.0 * (i + j == 1), {(0, 1), (1, 0)}, {-1.0}),
+])
+def test_derived_validation_witnesses(kind, change, witnesses, magnitudes):
+    # four points on a line, one distance changed by a broken block_fn
+    def block(i, j):
+        i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+        return np.abs(i - j).astype(float) + change(i, j)
+
+    report = validate(MetricSpace(np.full(4, 0.25), block_fn=block), triangle_samples=20000)
+    found = [v for v in report.violations if v.kind == kind]
+    assert {v.witness for v in found} == witnesses and {v.magnitude for v in found} == magnitudes
 
 
 def test_asymmetry_and_diagonal_detected():
@@ -239,6 +264,23 @@ def test_coords_l1_exact(tmp_path):
     assert space.matrix_exact[0][1] == F(7, 2)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "decimal"])
+@pytest.mark.parametrize("metric, far", [("L1", (2, F(9, 4), F(15, 4))), ("Linf", (F(3, 2), 2, F(5, 2)))])
+def test_coords_l1_and_linf(tmp_path, exact, metric, far):
+    # rational coordinates give exact distances, Fractions throughout; a
+    # decimal one makes every distance float64, here each exact one's float
+    rows = ["0 0", "3/2 -1/2", "1/4 2"] if exact else ["0 0", "1.5 -0.5", "0.25 2.0"]
+    path = tmp_path / "coords.space"
+    path.write_text("version 1\npoints 3\nmass 1/4 1/4 1/2\ncoords\n" + "\n".join(rows) + f"\nmetric {metric}\n")
+    space = load_space(path)
+    want = [[0, far[0], far[1]], [far[0], 0, far[2]], [far[1], far[2], 0]]
+    assert space.exact is exact
+    assert space.matrix.tobytes() == np.array(want, dtype=float).tobytes()
+    if exact:
+        assert space.matrix_exact == tuple(map(tuple, want))
+        assert all(type(d) is F for row in space.matrix_exact for d in row)
+
+
 def test_random_space_deterministic():
     for mode in ("uniform-box-L2", "iid-unit-interval-distances"):
         a = random_space(7, 6, mode)
@@ -329,6 +371,22 @@ def test_no_import_inside_a_function():
                 assert not inner, f"{path.name}: {func.name} imports inside its body"
         if path.name == "spaces.py":
             assert not [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
+
+
+def test_imports_are_the_package_numpy_or_the_standard_library():
+    # numpy is the one declared dependency: scipy or pytest-benchmark may be
+    # installed where tests run, yet an import of either fails a clean install
+    allowed = {"metricvoting", "numpy"} | sys.stdlib_module_names
+    for path in sorted(Path(__file__).parents[1].glob("src/metricvoting/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # a relative import is the package
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
 def test_random_space_bad_args():

@@ -138,14 +138,12 @@ class TwoClusterDistance:
 
     def __call__(self, i, j) -> np.ndarray:
         i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-        # outer-product fast path: a column of rows against a row of columns
-        # (the election hot loop), taken when the near rows come first, as
-        # they do in any ascending run of rows
+        # outer-product fast path: a column of an ascending run of rows
+        # against a row of columns (the election hot loop)
         if i.ndim == 2 and j.ndim == 2 and i.shape[1] == 1 and j.shape[0] == 1:
             rows, cols = i[:, 0], j[0, :]
-            split = int(np.count_nonzero(rows < self.near_count))
-            if rows[:split].max(initial=-1) < self.near_count:
-                return self._outer(rows, cols, split)
+            if (np.diff(rows) == 1).all():
+                return self._outer(rows, cols, int(np.count_nonzero(rows < self.near_count)))
         return self._pairs(i, j)
 
     def _terms(self, hi):
@@ -193,17 +191,18 @@ class TwoClusterDistance:
         out[lo == hi] = 0.0
 
     def _outer(self, rows, cols, split) -> np.ndarray:
-        """rows x cols block, where rows[:split] are the near rows, filled in
-        row chunks of at most half ``elections._PASS_ELEMENTS`` elements.
+        """rows x cols block for an ascending run of rows, whose first
+        ``split`` are the near rows, filled in row chunks of at most half
+        ``elections._PASS_ELEMENTS`` elements.
 
         A chunk's near rows r are one keyed hash over every column c, with
         the ``_terms`` of c: a near column below the rows keys
         (c << 32 | r) ^ word_near, one above them (r << 32 | c) ^ word_near,
         and a far atom a keys (a << 32 | r) ^ word_cross.  Near columns
         inside the chunk's row range hold the diagonal and the rows where a
-        pair's min and max swap: in an ascending run of rows their rows
-        before the diagonal are re-keyed and the diagonal zeroed; other rows
-        take the general path for them, as far rows do for every column."""
+        pair's min and max swap: the run meets column c's diagonal at row
+        c - r[0], the rows before it are re-keyed and the diagonal zeroed.
+        Far rows take the general path for every column."""
         far, atoms, word, mult, offset = self._terms(cols)
         c = cols.astype(U64)
         # a column's key part below the rows: c << 32, or a << 32 for an atom
@@ -222,26 +221,21 @@ class TwoClusterDistance:
             if lo == mid:
                 continue
             r, k, t = rows[lo:mid], key[: mid - lo], scratch[: mid - lo]
-            up = ~far & (cols > r.max())
-            at = np.flatnonzero(~far & ~up & (cols >= r.min()))  # inside columns
-            # an ascending run of rows meets column c's diagonal at row c - r[0]
-            run = at.size > 0 and r[-1] - r[0] == r.size - 1 and (np.diff(r) == 1).all()
+            up = ~far & (cols > r[-1])
+            at = np.flatnonzero(~far & ~up & (cols >= r[0]))  # inside columns
             r = r.view(U64)
             np.left_shift(r[:, None], np.where(up, U64(32), U64(0)), out=k)
             k ^= np.where(up, c, below) ^ word
-            if run:  # the rows before the diagonal key (r << 32 | c)
-                for j, i in zip(at, cols[at] - rows[lo]):
-                    np.bitwise_xor(r[:i] << U64(32), c[j] ^ self.word_near, out=k[:i, j])
+            # an inside column's rows before the diagonal key (r << 32 | c)
+            for j, i in zip(at, cols[at] - rows[lo]):
+                np.bitwise_xor(r[:i] << U64(32), c[j] ^ self.word_near, out=k[:i, j])
             _mix64_inplace(k, t)
             k >>= U64(11)  # below 2^53: int64 holds it and converts faster
             block = out[lo:mid]
             block[...] = k.view(np.int64)
             block *= mult
             block += offset
-            if run:
-                block[cols[at] - rows[lo], at] = 0.0
-            elif at.size:
-                block[:, at] = self._pairs(rows[lo:mid, None], cols[None, at])
+            block[cols[at] - rows[lo], at] = 0.0
         return out
 
 

@@ -8,8 +8,8 @@ spaces, on exact Python ints: masses, distances and scores times the LCMs of
 their denominators, which are divided out into Fractions at the end.
 
 The kernel streams the locations in passes: each pass is looked up and
-ranked, and its scores (and a derived space's costs) join its summation
-block's sums in location order; the blocks are then added in order, so
+ranked, and its scores (and a derived space's costs) join the election's
+sums in location order, the order ``brute_force_outcome`` sums in, so
 passes change no output bit and an election holds a few MiB.  A pass's
 ranking, sort keys and weights are views of grow-only buffers that each
 thread keeps (``_buffer``, a few MiB), valid until the next pass: small
@@ -26,7 +26,7 @@ hold a NaN or an infinity, are checked; a duplicate candidate ties its
 twin bit for bit and needs no check.  The rows that fail it, rows with a
 sign bit set (a negative distance or -0.0), and every narrower or wider
 row take the stable argsort.  A derived space's pass then sums its costs
-with one ``np.einsum``, its block's partial sums written into its first row.
+with one ``np.einsum``, the partial sums written into its first row.
 
 ``brute_force_outcome`` is a deliberately naive second implementation kept
 free of any shared ranking/scoring code; it exists so the fast path can be
@@ -39,7 +39,6 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,9 +46,6 @@ import numpy as np
 from .scoring import ScoringVector, parse_family
 from .spaces import MetricSpace, _int_dtype, _scaled_integers, random_space
 
-#: fixed summation block: scores and costs are summed over blocks of this
-#: many locations, so no other setting can change the output bits
-_CHUNK_ROWS = 65536
 #: location x slate x candidate elements per pass and per batch of slates
 #: (at least one location and one slate): it sizes every kernel buffer, so
 #: a pass stays in cache, and changes no output bit (at 2^15 the
@@ -239,24 +235,21 @@ def _ranked_passes(lookup, npoints: int, slates: np.ndarray, top_only: bool = Fa
     a (T, n) stack of slates: dist[i, t] holds ``lookup``'s distances (or
     ranks) from location rows.start + i to slate t's candidates, and
     order[i, t] ranks them by (distance, candidate index), or is only its
-    first column when ``top_only``.  A pass of at most ``_PASS_ELEMENTS``
-    elements (at least one location) never crosses a summation block's
-    end; order is a view of a buffer the next pass overwrites.  The slates
-    label their candidates' locations for ``_key_rank``; an entry outside
-    0..npoints-1 raises IndexError."""
+    first column when ``top_only``.  A pass holds at most ``_PASS_ELEMENTS``
+    elements (at least one location); order is a view of a buffer the next
+    pass overwrites.  The slates label their candidates' locations for
+    ``_key_rank``; an entry outside 0..npoints-1 raises IndexError."""
     count, n = slates.shape
     cols = slates.ravel()
     if cols.min() < 0 or cols.max() >= npoints:  # every lookup takes them unchecked
         raise IndexError(f"slate entries must be point indices below {npoints}")
-    step = min(max(1, _PASS_ELEMENTS // slates.size), _CHUNK_ROWS, npoints)
-    for start in range(0, npoints, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, npoints)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            dist = lookup(lo, hi, cols).reshape(hi - lo, count, n)
-            order = _buffer("order", (hi - lo, count, 1 if top_only else n), np.int64)
-            _rank(dist, order, slates)
-            yield slice(lo, hi), dist, order
+    step = min(max(1, _PASS_ELEMENTS // slates.size), npoints)
+    for lo in range(0, npoints, step):
+        hi = min(lo + step, npoints)
+        dist = lookup(lo, hi, cols).reshape(hi - lo, count, n)
+        order = _buffer("order", (hi - lo, count, 1 if top_only else n), np.int64)
+        _rank(dist, order, slates)
+        yield slice(lo, hi), dist, order
 
 
 def rankings(space: MetricSpace, slate: Sequence[int]) -> np.ndarray:
@@ -311,8 +304,8 @@ def _elect(lookup, mass, costs, scores, slates):
     space), its distances summed here in the order of its score's terms."""
     count, n = slates.shape
     dtype = mass.dtype
-    sums = 1 if costs is not None else 2  # scores, and a derived space's costs
-    blocks = []  # each summation block's sums, from zero
+    # scores, and a derived space's costs, summed from zero
+    totals = np.zeros((1 if costs is not None else 2, count * n), dtype)
     # a vector that scores only the top choice (plurality) needs column 0 of
     # the ranking alone: the dropped terms are +0.0, so every bit is kept
     width = n if (scores[1:] != 0).any() else 1
@@ -321,25 +314,23 @@ def _elect(lookup, mass, costs, scores, slates):
     offsets = np.arange(0, count * n, n)[:, None]
     tile = tile_mass = None  # weights of passes whose masses are one float64, and that mass's bytes
     for rows, dist, order in _ranked_passes(lookup, mass.size, slates, width == 1):
-        if rows.start % _CHUNK_ROWS == 0:
-            blocks.append(np.zeros((sums, count * n), dtype))
-        block = blocks[-1]
         if count > 1:  # a lone slate's offset is 0
             order += offsets
         # the same mass * score weights for every slate, laid out like order
         m = mass[rows]
         if dtype == np.float64 and m[0] == m[-1] and (m.view(np.uint64) == m[:1].view(np.uint64)).all():
-            # one mass: a prefix of a tile built once per value (no workspace view)
-            if tile is None or len(tile) < len(m) or tile_mass != m[:1].tobytes():
+            # one mass: a prefix of a tile built once per value (no workspace
+            # view); every pass but the last is full, so a tile never grows
+            if tile_mass != m[:1].tobytes():
                 tile, tile_mass = np.empty(order.shape), m[:1].tobytes()
                 np.multiply(m[:, None, None], scores[:width], out=tile)
             weights = tile[: len(m)]
         else:
             weights = np.multiply(m[:, None, None], scores[:width], out=_buffer("weights", order.shape, dtype))
-        np.add.at(block[0], order.ravel(), weights.ravel())
+        np.add.at(totals[0], order.ravel(), weights.ravel())
         if costs is None:
-            block[1] = _location_sum(block[1], m, dist.reshape(len(dist), -1))
-    totals = reduce(np.add, blocks).reshape(sums, count, n)  # block by block
+            totals[1] = _location_sum(totals[1], m, dist.reshape(len(dist), -1))
+    totals = totals.reshape(-1, count, n)
     costs = totals[1] if costs is None else costs[slates]
     return totals[0], costs, totals[0].argmax(axis=1), costs.argmin(axis=1)
 
@@ -349,8 +340,8 @@ def _location_sum(partial, mass, dist):
     order: ``partial`` joins row 0's terms, written into row 0 of ``dist`` (a
     C-ordered pass the kernel owns), which then takes a mass of 1.0, and
     ``np.einsum`` adds the rows one by one from +0.0, as ``MetricSpace.costs``
-    sums (no BLAS; block sums start from +0.0, so none is -0.0).  A lone
-    column takes ``cumsum``: einsum sums one column unrolled."""
+    sums (no BLAS; the election's sums start from +0.0, so none is -0.0).
+    A lone column takes ``cumsum``: einsum sums one column unrolled."""
     mass = mass.copy()
     dist[0] *= mass[0]
     dist[0] += partial

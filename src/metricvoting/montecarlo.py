@@ -316,6 +316,9 @@ def _probe(space, median_index, z, n, trials, batches) -> SufficiencyCheck:
 
     tilde_y = (1.0 - 1.0 / math.e) + z / math.e
     at_least = np.nonzero(ball_mass >= tilde_y - 1e-12)[0]
+    if at_least.size == 0:  # an unvalidated space's mass can sum below tilde_y
+        raise ValueError(f"no ball around the 1-median holds mass {tilde_y:.6g}: "
+                         f"the masses sum to {ball_mass[-1]:.6g}")
     r_tilde = float(knots[at_least[0]])
     grid = knots[knots >= r_tilde]
     v_of_r = 1.0 - ball_mass[knots >= r_tilde]

@@ -37,7 +37,7 @@ Number = Union[int, float, Fraction]
 
 #: exhaustive triangle checking above this point count is replaced by sampling
 DEFAULT_TRIPLE_CAP = 300
-#: sampled triangle checks draw at least this many triples
+#: sampled triangle checks draw this many triples
 DEFAULT_TRIANGLE_SAMPLES = 1_000_000
 
 _MASS_SUM_TOL = 1e-12
@@ -259,14 +259,14 @@ def _scaled_integers(values):
 def validate(
     space: MetricSpace,
     triple_cap: int = DEFAULT_TRIPLE_CAP,
-    triangle_samples: int = DEFAULT_TRIANGLE_SAMPLES,
 ) -> ValidationReport:
     """Check the metric axioms and mass normalization; report, never raise.
 
     All triples are checked when the space stores a matrix and has at most
-    ``triple_cap`` points; otherwise a fixed-seed sample of ``triangle_samples``
-    triples is drawn.  Exact spaces are checked in exact arithmetic, every
-    axiom over their distances scaled to integers (``MetricSpace.scaled``).
+    ``triple_cap`` points; otherwise a fixed-seed sample of
+    ``DEFAULT_TRIANGLE_SAMPLES`` triples is drawn.  Exact spaces are checked
+    in exact arithmetic, every axiom over their distances scaled to integers
+    (``MetricSpace.scaled``).
     """
     violations = []
     npts = space.npoints
@@ -310,15 +310,15 @@ def validate(
             violations.extend(_triangle_scan(mat, tol, scale))
         else:
             exhaustive = False
-            checked = triangle_samples
-            violations.extend(_sampled_triangle(npts, lambda i, j: mat[i, j], tol, scale, triangle_samples))
+            checked = DEFAULT_TRIANGLE_SAMPLES
+            violations.extend(_sampled_triangle(npts, lambda i, j: mat[i, j], tol, scale))
     else:
         diag_idx = np.arange(min(npts, 1 << 21))
         bad_diag = np.nonzero(space.dist_block(diag_idx, diag_idx) != 0.0)[0]
         for i in bad_diag[:16]:
             violations.append(Violation("diagonal", (int(i),), float(space.distance(int(i), int(i)))))
         rng = np.random.default_rng([0, npts, 7])
-        a = rng.integers(0, npts, size=min(triangle_samples, 1 << 20))
+        a = rng.integers(0, npts, size=DEFAULT_TRIANGLE_SAMPLES)
         b = rng.integers(0, npts, size=a.size)
         dab, dba = space.dist_block(a, b), space.dist_block(b, a)
         for idx in np.nonzero(dab != dba)[0][:16]:
@@ -326,32 +326,21 @@ def validate(
         for idx in np.nonzero(dab < 0)[0][:16]:
             violations.append(Violation("negative-distance", (int(a[idx]), int(b[idx])), float(dab[idx])))
         exhaustive = False
-        checked = triangle_samples
-        violations.extend(_sampled_triangle(npts, space.dist_block, _FLOAT_TRIANGLE_TOL, None, triangle_samples))
+        checked = DEFAULT_TRIANGLE_SAMPLES
+        violations.extend(_sampled_triangle(npts, space.dist_block, _FLOAT_TRIANGLE_TOL, None))
 
     return ValidationReport(tuple(violations), checked, exhaustive)
 
 
-def _sampled_triangle(npoints: int, dist_block, tol, scale, samples: int):
-    """Check a fixed-seed sample of triples for d(a,c) > d(a,b) + d(b,c) + tol
-    over ``dist_block`` (the distances times ``scale``, None on a float space)."""
+def _sampled_triangle(npoints: int, dist_block, tol, scale):
+    """Check a fixed-seed sample of ``DEFAULT_TRIANGLE_SAMPLES`` triples for
+    d(a,c) > d(a,b) + d(b,c) + tol over ``dist_block`` (the distances times
+    ``scale``, None on a float space)."""
     rng = np.random.default_rng([0, npoints, 13])
-    out = []
-    remaining = samples
-    while remaining > 0:
-        count = min(remaining, 1 << 20)
-        a = rng.integers(0, npoints, size=count)
-        b = rng.integers(0, npoints, size=count)
-        c = rng.integers(0, npoints, size=count)
-        excess = dist_block(a, c) - dist_block(a, b) - dist_block(b, c)
-        for idx in np.nonzero(excess > tol)[0][:16]:
-            out.append(
-                Violation("triangle", (int(a[idx]), int(b[idx]), int(c[idx])), _magnitude(excess[idx], scale))
-            )
-        if len(out) > 64:
-            break
-        remaining -= count
-    return out
+    a, b, c = (rng.integers(0, npoints, size=DEFAULT_TRIANGLE_SAMPLES) for _ in range(3))
+    excess = dist_block(a, c) - dist_block(a, b) - dist_block(b, c)
+    return [Violation("triangle", (int(a[idx]), int(b[idx]), int(c[idx])), _magnitude(excess[idx], scale))
+            for idx in np.nonzero(excess > tol)[0][:16]]
 
 
 def outside_mass(space: MetricSpace, center: int, r):

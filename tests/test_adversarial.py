@@ -115,7 +115,7 @@ def test_instance_distance_ranges_and_determinism():
 
 def test_instance_is_metric_by_sampling():
     inst = build_instance(small_params(), seed=5)
-    assert validate(inst.space, triangle_samples=300_000).ok
+    assert validate(inst.space).ok
 
 
 def test_near_voters_order_far_candidates_by_position():
@@ -404,7 +404,8 @@ def test_keyed_pass_agrees_with_pair_formula(data):
     with mock.patch.object(TwoClusterDistance, "_outer", spy), \
             mock.patch.object(elections, "_PASS_ELEMENTS", budget):
         got = space.dist_block(rows[:, None], cols[None, :])
-    assert calls == [len(picked)]
+    # only an ascending run of rows takes the keyed pass; the rest take _pairs
+    assert calls == ([len(picked)] if (np.diff(rows) == 1).all() else [])
     reference = np.array([[_pair_distance(block, int(i), int(j)) for j in cols] for i in rows])
     assert got.tobytes() == reference.tobytes()
 

@@ -276,6 +276,18 @@ def test_probe_out_without_probe_z_fails_before_any_output(capsys, line_file, tm
     assert capsys.readouterr().err == "error: --probe-out needs --probe-z\n"
 
 
+def test_probe_on_a_space_short_of_mass_is_an_input_error(capsys, tmp_path):
+    # an unvalidated space whose masses sum to 1/2 holds no ball of mass
+    # tilde_y: the probe fails with a message and writes no file
+    space_path, probe_path = tmp_path / "short.space", tmp_path / "probe.csv"
+    space_path.write_text("version 1\npoints 3\nmass 1/4 1/8 1/8\nmatrix\n1\n3 2\n")
+    code, _ = run_cli("estimate", "--space", str(space_path), "--no-validate", "--family", "borda",
+                      "--n", "3", "--trials", "20", "--seed", "1", "--probe-z", "3/4",
+                      "--probe-out", str(probe_path))
+    assert code == 2 and not probe_path.exists()
+    assert capsys.readouterr().err.startswith("error: no ball around the 1-median holds mass")
+
+
 def test_histogram_output(line_file, tmp_path):
     # one row per distinct distance from the 1-median, location 0 of the
     # line's points 0, 1 and 3

@@ -100,20 +100,22 @@ def _assert_batch_is_lone_elections(space, vec, slates):
         assert (alone.winner, alone.optimum) == (ref.winner, ref.optimum)
 
 
-def _box_3000(derived):
+@pytest.fixture(scope="module")
+def box_3000(request):
     # box distances on 3000 points, rounded differently in every order of
-    # summation; the derived copy looks the same matrix up
+    # summation; the derived copy looks the same matrix up.  Built once per
+    # module: the stored space and its ranks table take over a second
     rng = np.random.default_rng(3000)
     x, y = rng.random((2, 3000))
     mass = rng.uniform(0.5, 1.5, 3000)
     space = MetricSpace(mass / mass.sum(), matrix=np.hypot(x[:, None] - x, y[:, None] - y))
-    return _derived_copy(space) if derived else space
+    return _derived_copy(space) if request.param else space
 
 
-@pytest.mark.parametrize("derived", [False, True], ids=["stored", "derived"])
+@pytest.mark.parametrize("box_3000", [False, True], ids=["stored", "derived"], indirect=True, scope="module")
 @pytest.mark.parametrize("n", [2, 5])
-def test_batched_kernel_equals_single_elections_above_2048_points(monkeypatch, derived, n):
-    space = _box_3000(derived)
+def test_batched_kernel_equals_single_elections_above_2048_points(monkeypatch, box_3000, n):
+    space = box_3000
     count = elections._batch_step(space.npoints, n)
     assert count > 1  # spaces of any size elect a stack of slates per call
     slates = montecarlo._slates(space, n, 17, 0, count)
@@ -305,20 +307,18 @@ def _masses(kind):
 
 @pytest.mark.parametrize("derived", [False, True], ids=["stored", "derived"])
 @pytest.mark.parametrize("kind", ["equal", "two-values", "one-off", "signed-zero"])
-@pytest.mark.parametrize("pass_rows, chunk_rows", [(10, None), (7, None), (10, 13)])
-def test_equal_mass_passes_elect_as_brute_force(monkeypatch, derived, kind, pass_rows, chunk_rows):
+# the ids keep the names these cases had beside a removed block-size column
+@pytest.mark.parametrize("pass_rows", [10, 7], ids=["10-None", "7-None"])
+def test_equal_mass_passes_elect_as_brute_force(monkeypatch, derived, kind, pass_rows):
     # a pass whose masses share one float64's bits takes its weights from a
-    # tile built once per mass value and grown when a longer pass needs it;
-    # seven-row passes straddle the two runs.  Masses and Borda's scores at
-    # n = 9 are dyadic and distances integers, so every sum is exact and
-    # the summation blocks (chunk_rows) change no bit
+    # tile built once per mass value; seven-row passes straddle the two
+    # runs.  Masses and Borda's scores at n = 9 are dyadic and distances
+    # integers, so every sum is exact
     coords = np.arange(60) // 3
     matrix = np.abs(coords[:, None] - coords[None, :]).astype(float)
     mass = _masses(kind)
     space = MetricSpace(mass, block_fn=lambda i, j: matrix[i, j]) if derived else MetricSpace(mass, matrix=matrix)
     monkeypatch.setattr(elections, "_PASS_ELEMENTS", pass_rows * 9)
-    if chunk_rows:
-        monkeypatch.setattr(elections, "_CHUNK_ROWS", chunk_rows)
     slate = [0, 20, 20, 40, 59, 7, 33, 33, 50]
     for family in ("plurality", "borda"):
         vec = parse_family(family).score_vector(9)
@@ -471,7 +471,7 @@ GOLDEN = Path(__file__).parent / "data" / "float_kernel_golden.json"
 
 @pytest.fixture(scope="module")
 def golden_instance():
-    # 70512 locations: two summation blocks of elections._CHUNK_ROWS rows
+    # 70512 locations, more than 2^16: every sum runs over all of them
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         params = solve_parameters(1.25, n_override=16, big_n_override=70000)
@@ -490,7 +490,7 @@ def _hexed(outcome):
 
 def test_float_kernel_matches_recorded_bits(golden_instance):
     cases = json.loads(GOLDEN.read_text())["cases"]
-    assert golden_instance.npoints > elections._CHUNK_ROWS
+    assert golden_instance.npoints == 70512
     for case in cases:
         vec = parse_family(case["family"]).score_vector(len(case["slate"]))
         got = _hexed(run_election(golden_instance, case["slate"], vec))
@@ -499,14 +499,41 @@ def test_float_kernel_matches_recorded_bits(golden_instance):
         assert got == want, case["family"]
 
 
+def _location_order_outcome(space, slate, vec):
+    # the stable argsort of each location's distances, then each
+    # candidate's score and cost terms summed down the locations by cumsum
+    dist = space.dist_block(np.arange(space.npoints)[:, None], np.asarray(slate)[None])
+    terms = np.zeros_like(dist)
+    order = np.argsort(dist, axis=1, kind="stable")
+    np.put_along_axis(terms, order, space.mass[:, None] * vec.float_scores, axis=1)
+    scores = np.cumsum(terms, axis=0)[-1]
+    costs = np.cumsum(space.mass[:, None] * dist, axis=0)[-1]
+    winner, optimum = int(scores.argmax()), int(costs.argmin())
+    return [s.hex() for s in scores], winner, optimum, costs[winner].hex(), costs[optimum].hex()
+
+
+def test_float_kernel_sums_in_location_order(golden_instance):
+    # on more than 2^16 locations every score and cost is one sum in
+    # location order from +0.0, as brute_force_outcome sums, and the
+    # recorded bits are those sums
+    for case in json.loads(GOLDEN.read_text())["cases"]:
+        for family in ("plurality", "borda"):
+            vec = parse_family(family).score_vector(len(case["slate"]))
+            want = _location_order_outcome(golden_instance, case["slate"], vec)
+            assert _hexed(run_election(golden_instance, case["slate"], vec)) == want, family
+            if family == case["family"]:
+                assert (case["scores"], case["winner"], case["optimum"],
+                        case["winner_cost"], case["optimum_cost"]) == want
+
+
 def _golden_part(space, cases, start, count):
     return [_hexed(run_election(space, c["slate"], parse_family(c["family"]).score_vector(16)))
             for c in cases[start:start + count]]
 
 
 def test_float_kernel_bits_do_not_depend_on_jobs(golden_instance):
-    # elections in fan-out workers sum every 65536 x 16 block to the
-    # recorded bits, as the calling process does
+    # elections in fan-out workers sum all 70512 locations to the recorded
+    # bits, as the calling process does
     cases = json.loads(GOLDEN.read_text())["cases"]
     parts = _fan_out(_golden_part, (golden_instance, cases), 0, len(cases), jobs=2)
     assert len(parts) == 2
@@ -517,7 +544,7 @@ def test_float_kernel_bits_do_not_depend_on_jobs(golden_instance):
 
 @pytest.mark.parametrize("pass_rows", [7, 1000, 4096, 1 << 36])
 def test_sub_block_size_changes_no_bit(golden_instance, monkeypatch, pass_rows):
-    # 16 candidates: budgets of 7 * n elements up to 2^40 (whole blocks)
+    # 16 candidates: budgets of 7 * n elements up to 2^40 (one pass)
     slate = json.loads(GOLDEN.read_text())["cases"][-1]["slate"]
     want = {f: run_election(golden_instance, slate, parse_family(f).score_vector(16))
             for f in ("plurality", "borda")}
@@ -603,18 +630,15 @@ def test_threads_keep_their_own_workspace():
 
 
 @pytest.mark.parametrize("pass_rows", [None, 1000])
-def test_lone_column_cost_sums_each_block_then_the_blocks(golden_instance, monkeypatch, pass_rows):
-    # a one-location cost is a lone column: a cumsum over each block of
-    # elections._CHUNK_ROWS rows, carried across passes, then block by block
+def test_lone_column_cost_sums_in_location_order(golden_instance, monkeypatch, pass_rows):
+    # a one-location cost is a lone column: one cumsum over all locations,
+    # carried across passes
     space = golden_instance
     if pass_rows:
         monkeypatch.setattr(elections, "_PASS_ELEMENTS", pass_rows)
     for location in (0, 1, 69999, 70000, space.npoints - 1):
         terms = space.mass * space.dist_block(np.arange(space.npoints), location)
-        want = 0.0
-        for start in range(0, space.npoints, elections._CHUNK_ROWS):
-            want += np.cumsum(terms[start : start + elections._CHUNK_ROWS])[-1]
-        assert social_cost(space, location).hex() == want.hex()
+        assert social_cost(space, location).hex() == np.cumsum(terms)[-1].hex()
 
 
 def _dyadic_line(npoints, derived):

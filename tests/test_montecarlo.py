@@ -254,6 +254,16 @@ def test_probe_rejects_bad_z(line_space):
             sufficiency_probe(line_space, Borda(), 4, 10, seed=0, z=z)
 
 
+def test_probe_rejects_a_space_whose_mass_never_reaches_tilde_y():
+    # unvalidated masses summing to 1/2: at z = 3/4 no ball holds tilde_y
+    space = MetricSpace([F(1, 4), F(1, 8), F(1, 8)], matrix=[[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+    est = estimate_distortion(space, Borda(), 3, 20, 1)
+    for probe in (lambda: sufficiency_probe(space, Borda(), 3, 20, 1, F(3, 4)),
+                  lambda: probe_estimate(space, est, F(3, 4))):
+        with pytest.raises(ValueError, match="no ball around the 1-median holds mass"):
+            probe()
+
+
 def test_probe_degenerate_single_point():
     space = MetricSpace([F(1)], matrix=[[0]])
     probe = sufficiency_probe(space, Borda(), 4, trials=40, seed=0, z=F(3, 4))

@@ -112,7 +112,7 @@ def test_derived_validation_witnesses(kind, change, witnesses, magnitudes):
         i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
         return np.abs(i - j).astype(float) + change(i, j)
 
-    report = validate(MetricSpace(np.full(4, 0.25), block_fn=block), triangle_samples=20000)
+    report = validate(MetricSpace(np.full(4, 0.25), block_fn=block))
     found = [v for v in report.violations if v.kind == kind]
     assert {v.witness for v in found} == witnesses and {v.magnitude for v in found} == magnitudes
 
@@ -404,5 +404,5 @@ def test_derived_space_distance_dispatch():
 
     space = MetricSpace(np.full(5, 0.2), block_fn=ring)
     assert space.distance(0, 3) == 2.0
-    assert validate(space, triangle_samples=20000).ok
+    assert validate(space).ok
     assert math.isclose(social_cost(space, 0), 0.2 * (1 + 2 + 2 + 1))

@@ -165,6 +165,8 @@ def cmd_estimate(args) -> int:
         raise ValueError("--probe-out needs --probe-z")
     seed = _resolve_seed(args)
     space = _load_source(args, seed)
+    if args.probe_z is not None:
+        montecarlo.probe_tilde_y(space, probe_z)  # the masses must reach it before any trial
     family = parse_family(args.family)
     est = montecarlo.estimate_distortion(
         space, family, args.n, args.trials, seed, jobs=args.jobs

@@ -10,19 +10,27 @@ and the rule is constant-distortion iff some y makes lhs > rhs (strictly) for
 all large n.  A shifted variant supports the sufficiency argument: offset m
 moves the left sum to s(m+k) - s(m+Y), and slack factor 2 doubles rhs.  Both
 are exact rational arithmetic, computed once from the materialized scores
-(the reference) and once from each family's closed-form prefix sums as
-integer pairs, which is what a scan over the (y, n) grid uses; its cells
-keep them unreduced and build a reduced Fraction only when a side is read.
-A scan can only certify a finite horizon, and its verdict says so explicitly.
+(the reference) and once from each family's closed-form prefix sums.  The
+latter works on columns: for one y it takes every n of a scan at once, as
+numpy object arrays of Python ints (never int64, whose products overflow),
+and gives each side as an integer (num, den) pair per n; a single n is a
+column of one.  A scan's cells are slotted tuples that keep those pairs
+unreduced and build a reduced Fraction only when a side is read.  A scan can
+only certify a finite horizon, and its verdict says so explicitly.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from typing import Sequence, Tuple
 
-from .scoring import RuleFamily, ScoringVector
+import numpy as np
+
+from .scoring import RuleFamily, ScoringVector, int_column
 
 DEFAULT_Y_GRID: Tuple[Fraction, ...] = (
     Fraction(1, 2),
@@ -42,36 +50,46 @@ INDETERMINATE_LIMIT = "IndeterminateLimit"
 _CLASSIFIER_GRID = tuple(Fraction(i, 8) for i in range(1, 8))
 
 
-def _ceil_y(q: Fraction, n: int, m: int) -> int:
-    """Q = ceil(q*(n-1)), checked to lie in [1, n-1] with room for offset m."""
+def _ceil_y(q: Fraction, n: np.ndarray, m: int) -> np.ndarray:
+    """Q = ceil(q*(n-1)) at each n of an int column, checked to lie in
+    [1, n-1] with room for offset m."""
     big = -((1 - n) * q.numerator // q.denominator)
-    if not 1 <= big <= n - 1:
-        raise ValueError(f"y={q} gives ceil(y*(n-1))={big} outside [1, n-1]")
-    if m < 0 or m + big > n - 1:
-        raise ValueError(f"offset m={m} overflows: m + {big} must stay <= n-1={n - 1}")
+    bad = (big < 1) | (big > n - 1)
+    if bad.any():
+        raise ValueError(f"y={q} gives ceil(y*(n-1))={big[bad.argmax()]} outside [1, n-1]")
+    over = m + big > n - 1
+    if m < 0 or over.any():
+        i = over.argmax()
+        raise ValueError(f"offset m={m} overflows: m + {big[i]} must stay <= n-1={n[i] - 1}")
     return big
 
 
 def _minus(a: tuple, b: tuple) -> tuple:
-    """a - b for (num, den) pairs; cross-multiplies only unequal denominators."""
+    """a - b for columns of (num, den) pairs; cross-multiplies only the
+    entries whose denominators differ."""
     (a_num, a_den), (b_num, b_den) = a, b
-    if a_den == b_den:
+    cross = a_den != b_den
+    if not cross.any():
         return a_num - b_num, a_den
-    return a_num * b_den - b_num * a_den, a_den * b_den
+    num, den = a_num - b_num, a_den.copy()
+    a_num, a_den, b_num, b_den = a_num[cross], a_den[cross], b_num[cross], b_den[cross]
+    num[cross], den[cross] = a_num * b_den - b_num * a_den, a_den * b_den
+    return num, den
 
 
 def _vector_sides(vector: ScoringVector, q: Fraction, m: int, slack: int) -> Tuple[Fraction, Fraction]:
     """The sides at quantile q, offset m and slack, summed over the scores."""
     n, s = vector.n, vector.scores
-    big = _ceil_y(q, n, m)
+    big = _ceil_y(q, int_column([n]), m)[0]
     lhs = q * sum((s[m + k] - s[m + big] for k in range(big)), Fraction(0))
     rhs = slack * (1 - q) * sum((1 - s[k] for k in range(n - big, n)), Fraction(0))
     return lhs, rhs
 
 
-def _prefix_sides(family: RuleFamily, n: int, q: Fraction, m: int, slack: int, total=None) -> tuple:
-    """(lhs, rhs, lhs > rhs) of ``_vector_sides`` from the family's prefix sums P, P(n) = total
-    if given, each side an unreduced integer pair over a positive denominator (lhs > rhs
+def _prefix_sides(family: RuleFamily, n: np.ndarray, q: Fraction, m: int, slack: int, total=None) -> tuple:
+    """(lhs, rhs, lhs > rhs) of ``_vector_sides`` at each n of an int column, from
+    the family's prefix sums P, P(n) = total if given: each side a pair of integer
+    columns (num, den), unreduced over den > 0, and a bool column (lhs > rhs
     cross-multiplies them): P(m+Q) - P(m) - Q*s(m+Q) = (Q+1)*P(m+Q) - P(m) - Q*P(m+Q+1)."""
     q_num, q_den = q.numerator, q.denominator
     big = _ceil_y(q, n, m)
@@ -79,12 +97,18 @@ def _prefix_sides(family: RuleFamily, n: int, q: Fraction, m: int, slack: int, t
     r_num, r_den = family._prefix_terms(n, m + big + 1)
     head = (big + 1) * p_num, p_den
     if m:  # P(0) = 0
-        head = _minus(head, family._prefix_terms(n, m))
+        head = _minus(head, family._prefix_terms(n, int_column([m] * len(n))))
     num, den = _minus(head, (big * r_num, r_den))
     lhs_num, lhs_den = q_num * num, q_den * den
     tail_num, tail_den = _minus(total or family._prefix_terms(n, n), family._prefix_terms(n, n - big))
     rhs_num, rhs_den = slack * (q_den - q_num) * (big * tail_den - tail_num), q_den * tail_den
     return (lhs_num, lhs_den), (rhs_num, rhs_den), lhs_num * rhs_den > rhs_num * lhs_den
+
+
+def _sides_at(family: RuleFamily, n: int, q: Fraction, m: int, slack: int) -> Tuple[Fraction, Fraction]:
+    """The two sides of ``_prefix_sides`` at one n, as Fractions."""
+    sides = _prefix_sides(family, int_column([n]), q, m, slack)[:2]
+    return tuple(Fraction(num[0], den[0]) for num, den in sides)
 
 
 def condition_sides(vector: ScoringVector, y) -> Tuple[Fraction, Fraction]:
@@ -110,7 +134,7 @@ def condition_sides_family(family: RuleFamily, n: int, y) -> Tuple[Fraction, Fra
     y = Fraction(y)
     if not 0 < y.numerator < y.denominator:
         raise ValueError("y must lie in (0, 1)")
-    return tuple(Fraction(*side) for side in _prefix_sides(family, n, y, 0, 1)[:2])
+    return _sides_at(family, n, y, 0, 1)
 
 
 def shifted_sides_family(family: RuleFamily, n: int, z, m: int) -> Tuple[Fraction, Fraction]:
@@ -118,16 +142,16 @@ def shifted_sides_family(family: RuleFamily, n: int, z, m: int) -> Tuple[Fractio
     z = Fraction(z)
     if not z.denominator < 2 * z.numerator < 2 * z.denominator:
         raise ValueError("z must lie in (1/2, 1)")
-    return tuple(Fraction(*side) for side in _prefix_sides(family, n, z, m, 2)[:2])
+    return _sides_at(family, n, z, m, 2)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ConditionCell:
-    y: Fraction
-    n: int
-    lhs_terms: tuple  # unreduced (num, den) over den > 0; ``lhs`` reduces it on read
-    rhs_terms: tuple
-    holds: bool  # lhs > rhs, strictly: ties count as failure
+class ConditionCell(namedtuple("ConditionCell", "y n lhs_terms rhs_terms holds")):
+    """One scanned (y, n): ``lhs_terms``/``rhs_terms`` are the unreduced (num, den)
+    pairs over den > 0 that ``lhs``/``rhs`` reduce on read, and ``holds`` is
+    lhs > rhs, strictly: ties count as failure.  A slotted tuple, so it has
+    no per-instance ``__dict__`` and is cheap to build."""
+
+    __slots__ = ()
 
     lhs = property(lambda self: Fraction(*self.lhs_terms))
     rhs = property(lambda self: Fraction(*self.rhs_terms))
@@ -135,13 +159,22 @@ class ConditionCell:
     def _key(self) -> tuple:  # equality and hash go by the reduced sides
         return self.y, self.n, self.lhs, self.rhs, self.holds
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+    def __eq__(self, other):  # never a plain tuple's field-by-field equality
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):  # unordered, as the raw pairs' order would disagree with ==
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __hash__(self):
         return hash(self._key())
+
+
+_new_cell = partial(tuple.__new__, ConditionCell)  # from one (y, n, lhs_terms, rhs_terms, holds) tuple
 
 
 @dataclass(frozen=True)
@@ -195,16 +228,15 @@ def scan(
     cells = []
     certified = []  # (y, n0) for qualifying y
     any_late_hold = False
-    totals = [(n, family._prefix_terms(n, n)) for n in range(n_min, n_max + 1)]  # P(n) for every y
+    n = int_column(range(n_min, n_max + 1))
+    total = family._prefix_terms(n, n)  # P(n) for every y
+    late = 2 * n >= n_max
     for y in y_grid:
-        n0 = n_min  # the first n after the last failure
-        for n, total in totals:
-            cell = ConditionCell(y, n, *_prefix_sides(family, n, y, 0, 1, total))
-            cells.append(cell)
-            if not cell.holds:
-                n0 = n + 1
-            elif 2 * n >= n_max:
-                any_late_hold = True
+        (lhs_num, lhs_den), (rhs_num, rhs_den), holds = _prefix_sides(family, n, y, 0, 1, total)
+        cells += map(_new_cell, zip(repeat(y), n, zip(lhs_num, lhs_den), zip(rhs_num, rhs_den), holds.tolist()))
+        fails = np.flatnonzero(~holds)
+        n0 = n_min if fails.size == 0 else n[fails[-1]] + 1  # the first n after the last failure
+        any_late_hold = any_late_hold or (holds & late).any()
         if n0 <= n_max and 2 * n0 <= n_max:
             certified.append((y, n0))
 

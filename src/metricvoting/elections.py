@@ -439,6 +439,7 @@ _ORACLE_MAX_CANDIDATES = 5
 def oracle_sweep(trials: int, seed: int) -> OracleResult:
     """Compare run_election against brute_force_outcome on seeded random
     exact instances (winner, optimum, and all scores must match exactly)."""
+    families = [parse_family(spec) for spec in _ORACLE_FAMILIES]  # one score-vector memo each
     matches = 0
     mismatches = []
     for t in range(trials):
@@ -447,8 +448,7 @@ def oracle_sweep(trials: int, seed: int) -> OracleResult:
         n = int(rng.integers(1, _ORACLE_MAX_CANDIDATES + 1))
         space = random_space(int(rng.integers(0, 2**31)), npts, "iid-unit-interval-distances")
         slate = rng.integers(0, npts, size=n).tolist()
-        family = parse_family(_ORACLE_FAMILIES[t % len(_ORACLE_FAMILIES)])
-        vector = family.score_vector(n)
+        vector = families[t % len(families)].score_vector(n)
         fast = run_election(space, slate, vector)
         naive = brute_force_outcome(space, slate, vector)
         problems = []

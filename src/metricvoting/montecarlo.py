@@ -276,6 +276,17 @@ def checked_probe_z(z) -> float:
     return z
 
 
+def probe_tilde_y(space: MetricSpace, z: float) -> float:
+    """The probe's ball mass tilde_y = 1 - 1/e + z/e at z; raises ValueError
+    when the space's masses sum below it, as an unvalidated space's can, so
+    that no ball around the 1-median holds it."""
+    tilde_y = (1.0 - 1.0 / math.e) + z / math.e
+    total = float(space.mass.sum())
+    if total < tilde_y - 1e-12:
+        raise ValueError(f"no ball around the 1-median holds mass {tilde_y:.6g}: the masses sum to {total:.6g}")
+    return tilde_y
+
+
 def sufficiency_probe(
     space: MetricSpace,
     family: RuleFamily,
@@ -314,12 +325,8 @@ def _probe(space, median_index, z, n, trials, batches) -> SufficiencyCheck:
     knots = np.unique(dist_from_o)
     ball_mass = np.array([float(space.mass[dist_from_o <= r].sum()) for r in knots])
 
-    tilde_y = (1.0 - 1.0 / math.e) + z / math.e
-    at_least = np.nonzero(ball_mass >= tilde_y - 1e-12)[0]
-    if at_least.size == 0:  # an unvalidated space's mass can sum below tilde_y
-        raise ValueError(f"no ball around the 1-median holds mass {tilde_y:.6g}: "
-                         f"the masses sum to {ball_mass[-1]:.6g}")
-    r_tilde = float(knots[at_least[0]])
+    tilde_y = probe_tilde_y(space, z)
+    r_tilde = float(knots[np.nonzero(ball_mass >= tilde_y - 1e-12)[0][0]])
     grid = knots[knots >= r_tilde]
     v_of_r = 1.0 - ball_mass[knots >= r_tilde]
 

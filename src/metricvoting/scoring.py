@@ -57,13 +57,15 @@ class RuleFamily:
 
     def prefix_sum(self, n: int, m: int) -> Fraction:
         """Sum of scores at positions 0..m-1 (closed form where possible)."""
-        return Fraction(*self._prefix_terms(n, m))
+        num, den = self._prefix_terms(int_column([n]), int_column([m]))
+        return Fraction(num[0], den[0])
 
-    def _prefix_terms(self, n: int, m: int) -> tuple:
-        """``prefix_sum(n, m)`` as an unnormalized integer pair (num, den),
-        den > 0; families with a closed form override this generic sum."""
-        total = sum((self.score_at(n, k) for k in range(m)), Fraction(0))
-        return total.numerator, total.denominator
+    def _prefix_terms(self, n: np.ndarray, m: np.ndarray) -> tuple:
+        """``prefix_sum`` at each (n, m) of two equal-length ``int_column``s,
+        as unnormalized integer columns (num, den) of the same kind, den > 0;
+        families with a closed form override this generic sum."""
+        sums = [sum((self.score_at(a, k) for k in range(b)), Fraction(0)) for a, b in zip(n, m)]
+        return int_column(s.numerator for s in sums), int_column(s.denominator for s in sums)
 
     def limit_value(self, x: Rational) -> Optional[Fraction]:
         """The limit rule f(x), or None where it is undefined."""
@@ -95,6 +97,12 @@ class RuleFamily:
         return hash((type(self).__name__, self.spec))
 
 
+def int_column(values) -> np.ndarray:
+    """A 1-D numpy object array of Python ints, on which arithmetic stays exact
+    (an int64 column would overflow)."""
+    return np.array([int(v) for v in values], dtype=object)
+
+
 def _check_x(x) -> Fraction:
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -114,7 +122,7 @@ class _Approval(RuleFamily):
         return Fraction(1 if k < min(self._ones(n), n - 1) else 0)
 
     def _prefix_terms(self, n, m):
-        return min(m, self._ones(n), n - 1), 1
+        return np.minimum(np.minimum(m, self._ones(n)), n - 1), np.ones_like(m)
 
     def limit_value(self, x):
         x = _check_x(x)
@@ -178,14 +186,25 @@ class Borda(RuleFamily):
         return 1 - _check_x(x)
 
 
-_HARMONIC = [Fraction(0)]
+_HARMONIC = (int_column([0]), int_column([1]))  # H_0 = 0/1
 
 
-def _harmonic(m: int) -> Fraction:
-    """Exact H_m = sum_{j<=m} 1/j, cached incrementally."""
-    while len(_HARMONIC) <= m:
-        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
-    return _HARMONIC[m]
+def _harmonic_terms(m: np.ndarray) -> tuple:
+    """Exact H_m = sum_{j<=m} 1/j in lowest terms at each m of an int column,
+    as (num, den) columns read from a table that at least doubles when an m
+    outgrows it."""
+    global _HARMONIC
+    at = m.astype(np.intp)
+    h_num, h_den = _HARMONIC
+    if at.max(initial=0) >= len(h_num):
+        h, grown = Fraction(h_num[-1], h_den[-1]), []
+        for j in range(len(h_num), max(2 * len(h_num), at.max() + 1)):
+            h += Fraction(1, j)
+            grown.append(h)
+        h_num = np.concatenate([h_num, int_column(g.numerator for g in grown)])
+        h_den = np.concatenate([h_den, int_column(g.denominator for g in grown)])
+        _HARMONIC = h_num, h_den
+    return h_num[at], h_den[at]
 
 
 class Dowdall(RuleFamily):
@@ -198,8 +217,8 @@ class Dowdall(RuleFamily):
 
     def _prefix_terms(self, n, m):
         # (n*H_m - m) / (n-1), over H_m's reduced denominator
-        h = _harmonic(m)
-        return n * h.numerator - m * h.denominator, (n - 1) * h.denominator
+        h_num, h_den = _harmonic_terms(m)
+        return n * h_num - m * h_den, (n - 1) * h_den
 
     def limit_value(self, x):
         return Fraction(1 if _check_x(x) == 0 else 0)

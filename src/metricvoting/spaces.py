@@ -262,11 +262,12 @@ def validate(
 ) -> ValidationReport:
     """Check the metric axioms and mass normalization; report, never raise.
 
-    All triples are checked when the space stores a matrix and has at most
-    ``triple_cap`` points; otherwise a fixed-seed sample of
-    ``DEFAULT_TRIANGLE_SAMPLES`` triples is drawn.  Exact spaces are checked
-    in exact arithmetic, every axiom over their distances scaled to integers
-    (``MetricSpace.scaled``).
+    All pairs and triples are checked when the space has at most
+    ``triple_cap`` points, a derived space's distances read as one P x P
+    ``dist_block``; otherwise a fixed-seed sample of
+    ``DEFAULT_TRIANGLE_SAMPLES`` triples is drawn (and, on a derived space,
+    as many pairs).  Exact spaces are checked in exact arithmetic, every
+    axiom over their distances scaled to integers (``MetricSpace.scaled``).
     """
     violations = []
     npts = space.npoints
@@ -287,8 +288,12 @@ def validate(
 
     checked = 0
     exhaustive = True
-    if space.matrix is not None:
-        mat, scale, tol = space.matrix, None, _FLOAT_TRIANGLE_TOL
+    mat, scale, tol = space.matrix, None, _FLOAT_TRIANGLE_TOL
+    derived = mat is None
+    if derived and npts <= triple_cap:  # one P x P block checks every pair and triple
+        at = np.arange(npts)
+        mat = space.dist_block(at[:, None], at)
+    if mat is not None:
         if space.exact:
             _, _, mat, scale = space.scaled
             tol = 0
@@ -298,7 +303,7 @@ def validate(
             violations.append(Violation("diagonal", (int(i),), _magnitude(mat[i, i], scale)))
         asym = np.argwhere(mat != mat.T)
         for i, j in asym[:16]:
-            if i < j:
+            if i < j or derived:  # a block_fn's two orders are two computations
                 magnitude = _magnitude(mat[i, j] - mat[j, i], scale)
                 violations.append(Violation("asymmetry", (int(i), int(j)), magnitude))
         neg = np.argwhere(mat < 0)

@@ -288,6 +288,18 @@ def test_probe_on_a_space_short_of_mass_is_an_input_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: no ball around the 1-median holds mass")
 
 
+def test_probe_mass_is_checked_before_the_estimate(capsys, tmp_path):
+    # the same short space: the mass check comes before any trial or output
+    space_path, probe_path = tmp_path / "short.space", tmp_path / "probe.csv"
+    space_path.write_text("version 1\npoints 3\nmass 1/4 1/8 1/8\nmatrix\n1\n3 2\n")
+    code, out = run_cli("estimate", "--space", str(space_path), "--no-validate", "--family", "borda",
+                        "--n", "3", "--trials", "20", "--seed", "1", "--probe-z", "3/4",
+                        "--probe-out", str(probe_path))
+    assert code == 2 and out == "" and not probe_path.exists()
+    assert capsys.readouterr().err == \
+        "error: no ball around the 1-median holds mass 0.90803: the masses sum to 0.5\n"
+
+
 def test_histogram_output(line_file, tmp_path):
     # one row per distinct distance from the 1-median, location 0 of the
     # line's points 0, 1 and 3

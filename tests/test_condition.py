@@ -1,12 +1,18 @@
 import math
+import operator
 import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricvoting import classify_by_limit, condition_sides, scan, shifted_sides
 from metricvoting.condition import (
     DEFAULT_Y_GRID,
+    ConditionCell,
+    _prefix_sides,
+    _vector_sides,
     condition_sides_family,
     shifted_sides_family,
 )
@@ -18,6 +24,7 @@ from metricvoting.scoring import (
     Plurality,
     TableFamily,
     Veto,
+    int_column,
 )
 
 ALL_FAMILIES = [
@@ -34,6 +41,11 @@ ALL_FAMILIES = [
 TABLE_FAMILY = TableFamily(rows={
     n: tuple((n - 1 - k) ** 2 + 3 * ((n - 1 - k) // 2) for k in range(n))
     for n in (2, 3, 5, 9, 17, 33, 65, 128)
+})
+# the same rows for every n up to 300, for the drawn columns
+WIDE_TABLE = TableFamily(rows={
+    n: tuple((n - 1 - k) ** 2 + 3 * ((n - 1 - k) // 2) for k in range(n))
+    for n in range(2, 301)
 })
 
 
@@ -177,6 +189,14 @@ def test_scan_cells_hold_no_instance_dict():
     cells = scan(Borda(), n_min=4, n_max=20).cells
     assert not hasattr(cells[0], "__dict__")
     assert pickle.loads(pickle.dumps(cells)) == cells
+    # immutable, and a pickled cell keeps its class and every raw field
+    for name in ConditionCell._fields + ("lhs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cells[0], name, None)
+    for cell, back in zip(cells, pickle.loads(pickle.dumps(cells))):
+        assert type(back) is ConditionCell
+        assert (back.y, back.n, back.lhs_terms, back.rhs_terms, back.holds) == \
+            (cell.y, cell.n, cell.lhs_terms, cell.rhs_terms, cell.holds)
 
 
 def test_table_scan_cells_match_vectors():
@@ -200,6 +220,13 @@ def test_cells_compare_and_hash_by_reduced_value():
     assert [hash(c) for c in table_cells] == [hash(c) for c in borda_cells]
     assert set(table_cells) == set(borda_cells)
     assert table_cells[0] != borda_cells[1]
+    assert not any(a != b for a, b in zip(table_cells, borda_cells))
+    # a cell equals only a cell: a tuple of the same fields is another value
+    assert table_cells[0] != tuple(borda_cells[0]) and borda_cells[0] != tuple(borda_cells[0])
+    # and cells have no order, which the raw pairs would give equal cells
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(table_cells[0], borda_cells[0])
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
@@ -208,6 +235,70 @@ def test_cell_sides_read_in_lowest_terms(family):
         for side, (num, den) in ((cell.lhs, cell.lhs_terms), (cell.rhs, cell.rhs_terms)):
             assert type(side) is F and side == F(num, den)
             assert side.denominator > 0 and math.gcd(side.numerator, side.denominator) == 1
+
+
+FAMILIES_AND_TABLE = ALL_FAMILIES + [WIDE_TABLE]
+_QUANTILES = st.builds(lambda den, num: F(num % (den - 1) + 1, den), st.integers(2, 1000), st.integers(0, 10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES_AND_TABLE), y=_QUANTILES,
+       n_min=st.integers(2, 300), span=st.integers(0, 40))
+def test_scan_columns_match_vectors(family, y, n_min, span):
+    n_max = min(300, n_min + span)
+    for cell in scan(family, [y], n_min, n_max).cells:
+        lhs, rhs = _vector_sides(family.score_vector(cell.n), y, 0, 1)
+        assert (cell.lhs, cell.rhs, cell.holds) == (lhs, rhs, lhs > rhs), (cell.n, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES_AND_TABLE), z=_QUANTILES.filter(lambda z: z > F(1, 2)),
+       m=st.integers(0, 40), n_min=st.integers(2, 300), span=st.integers(0, 20))
+def test_shifted_columns_match_vectors(family, z, m, n_min, span):
+    # every n of the column leaves room for offset m: m + ceil(z*(n-1)) <= n-1
+    ns = [n for n in range(n_min, min(300, n_min + span) + 1)
+          if m - ((1 - n) * z.numerator // z.denominator) <= n - 1]
+    if not ns:
+        return
+    (lhs_num, lhs_den), (rhs_num, rhs_den), holds = _prefix_sides(family, int_column(ns), z, m, 2)
+    for i, n in enumerate(ns):
+        lhs, rhs = _vector_sides(family.score_vector(n), z, m, 2)
+        assert (F(lhs_num[i], lhs_den[i]), F(rhs_num[i], rhs_den[i]), holds[i]) == (lhs, rhs, lhs > rhs)
+        assert shifted_sides_family(family, n, z, m) == (lhs, rhs)
+
+
+def _assert_python_int_terms(cells):
+    for cell in cells:
+        terms = cell.lhs_terms + cell.rhs_terms
+        assert all(type(t) is int for t in terms) and type(cell.holds) is bool and type(cell.n) is int
+
+
+def test_approval_terms_stay_python_ints_past_int64():
+    # lhs = y * (n//2 + 1) over y's 2^26 denominator: lhs > rhs cross-multiplies
+    # past 2^63 near n = 10^4
+    y = F(2**26 - 1, 2**26)
+    family = GammaApproval(F(1, 2))
+    cells = scan(family, [y], n_min=9990, n_max=10010).cells
+    _assert_python_int_terms(cells)
+    assert min(abs(c.lhs_terms[0] * c.rhs_terms[1]) for c in cells) >= 2**63
+    for cell in cells[:: len(cells) - 1]:  # the vector reference sums 10^4 scores
+        lhs, rhs = condition_sides(family.score_vector(cell.n), y)
+        assert (cell.lhs, cell.rhs, cell.holds) == (lhs, rhs, lhs > rhs)
+
+
+def test_borda_terms_stay_python_ints_past_int64():
+    # (Q+1) * P(n, Q) passes 2^63 from n = 2.1 * 10^6 on, and so does every
+    # lhs > rhs cross product here; against Borda's sides summed in closed
+    # form: y*Q(Q+1)/(2(n-1)) and (1-y)*Q(2n-Q-1)/(2(n-1))
+    cells = scan(Borda(), [F(1, 2), F(9, 10), F(99, 100)], n_min=3 * 10**6 - 5, n_max=3 * 10**6 + 5).cells
+    _assert_python_int_terms(cells)
+    assert min(abs(c.lhs_terms[0] * c.rhs_terms[1]) for c in cells) >= 2**63
+    for cell in cells:
+        y, n = cell.y, cell.n
+        big = -((1 - n) * y.numerator // y.denominator)
+        lhs = y * F(big * (big + 1), 2 * (n - 1))
+        rhs = (1 - y) * F(big * (2 * n - big - 1), 2 * (n - 1))
+        assert (cell.lhs, cell.rhs, cell.holds) == (lhs, rhs, lhs > rhs), (n, y)
 
 
 def test_scan_verdict_is_horizon_relative():

@@ -117,6 +117,26 @@ def test_derived_validation_witnesses(kind, change, witnesses, magnitudes):
     assert {v.witness for v in found} == witnesses and {v.magnitude for v in found} == magnitudes
 
 
+def test_small_derived_space_checks_every_triple():
+    # six points at distance 2, except d(0,1) = 1/2 and d(1,2) = 1: only the
+    # triple 0, 1, 2 breaks the triangle inequality, in both of its orders
+    def block(i, j):
+        i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+        pair = np.minimum(i, j) * 6 + np.maximum(i, j)
+        d = np.where(i == j, 0.0, 2.0)
+        return np.where(pair == 1, 0.5, np.where(pair == 8, 1.0, d))
+
+    space = MetricSpace(np.full(6, 1 / 6), block_fn=block)
+    report = validate(space)
+    assert report.exhaustive and report.checked_triples == 6**3
+    assert [(v.kind, v.witness, v.magnitude) for v in report.violations] == \
+        [("triangle", (0, 1, 2), 0.5), ("triangle", (2, 1, 0), 0.5)]
+    # past triple_cap the space is sampled, as a large one is
+    sampled = validate(space, triple_cap=5)
+    assert not sampled.exhaustive and sampled.checked_triples == 1_000_000
+    assert {v.witness for v in sampled.violations} == {(0, 1, 2), (2, 1, 0)}
+
+
 def test_asymmetry_and_diagonal_detected():
     space = MetricSpace([0.5, 0.5], matrix=np.array([[0.0, 1.0], [2.0, 0.5]]))
     kinds = {v.kind for v in validate(space).violations}

@@ -13,10 +13,10 @@ are exact rational arithmetic, computed once from the materialized scores
 (the reference) and once from each family's closed-form prefix sums.  The
 latter works on columns: for one y it takes every n of a scan at once, as
 numpy object arrays of Python ints (never int64, whose products overflow),
-and gives each side as an integer (num, den) pair per n; a single n is a
-column of one.  A scan's cells are slotted tuples that keep those pairs
-unreduced and build a reduced Fraction only when a side is read.  A scan can
-only certify a finite horizon, and its verdict says so explicitly.
+and gives each side as an integer (num, den) pair per n.  A scan's cells are
+slotted tuples that keep those pairs unreduced and build a reduced Fraction
+only when a side is read.  A scan can only certify a finite horizon, and its
+verdict says so explicitly.
 """
 
 from __future__ import annotations
@@ -57,8 +57,10 @@ def _ceil_y(q: Fraction, n: np.ndarray, m: int) -> np.ndarray:
     bad = (big < 1) | (big > n - 1)
     if bad.any():
         raise ValueError(f"y={q} gives ceil(y*(n-1))={big[bad.argmax()]} outside [1, n-1]")
+    if m < 0:
+        raise ValueError(f"offset m={m} must be >= 0")
     over = m + big > n - 1
-    if m < 0 or over.any():
+    if over.any():
         i = over.argmax()
         raise ValueError(f"offset m={m} overflows: m + {big[i]} must stay <= n-1={n[i] - 1}")
     return big
@@ -80,6 +82,8 @@ def _minus(a: tuple, b: tuple) -> tuple:
 def _vector_sides(vector: ScoringVector, q: Fraction, m: int, slack: int) -> Tuple[Fraction, Fraction]:
     """The sides at quantile q, offset m and slack, summed over the scores."""
     n, s = vector.n, vector.scores
+    if n < 2:
+        raise ValueError("condition needs n >= 2")
     big = _ceil_y(q, int_column([n]), m)[0]
     lhs = q * sum((s[m + k] - s[m + big] for k in range(big)), Fraction(0))
     rhs = slack * (1 - q) * sum((1 - s[k] for k in range(n - big, n)), Fraction(0))
@@ -105,19 +109,11 @@ def _prefix_sides(family: RuleFamily, n: np.ndarray, q: Fraction, m: int, slack:
     return (lhs_num, lhs_den), (rhs_num, rhs_den), lhs_num * rhs_den > rhs_num * lhs_den
 
 
-def _sides_at(family: RuleFamily, n: int, q: Fraction, m: int, slack: int) -> Tuple[Fraction, Fraction]:
-    """The two sides of ``_prefix_sides`` at one n, as Fractions."""
-    sides = _prefix_sides(family, int_column([n]), q, m, slack)[:2]
-    return tuple(Fraction(num[0], den[0]) for num, den in sides)
-
-
 def condition_sides(vector: ScoringVector, y) -> Tuple[Fraction, Fraction]:
     """Exact (lhs, rhs) of the characterization inequality at quantile y."""
     y = Fraction(y)
     if not 0 < y < 1:
         raise ValueError("y must lie in (0, 1)")
-    if vector.n < 2:
-        raise ValueError("condition needs n >= 2")
     return _vector_sides(vector, y, 0, 1)
 
 
@@ -127,22 +123,6 @@ def shifted_sides(vector: ScoringVector, z, m: int) -> Tuple[Fraction, Fraction]
     if not Fraction(1, 2) < z < 1:
         raise ValueError("z must lie in (1/2, 1)")
     return _vector_sides(vector, z, m, 2)
-
-
-def condition_sides_family(family: RuleFamily, n: int, y) -> Tuple[Fraction, Fraction]:
-    """``condition_sides`` from the family's integer prefix sums."""
-    y = Fraction(y)
-    if not 0 < y.numerator < y.denominator:
-        raise ValueError("y must lie in (0, 1)")
-    return _sides_at(family, n, y, 0, 1)
-
-
-def shifted_sides_family(family: RuleFamily, n: int, z, m: int) -> Tuple[Fraction, Fraction]:
-    """``shifted_sides`` from the family's integer prefix sums."""
-    z = Fraction(z)
-    if not z.denominator < 2 * z.numerator < 2 * z.denominator:
-        raise ValueError("z must lie in (1/2, 1)")
-    return _sides_at(family, n, z, m, 2)
 
 
 class ConditionCell(namedtuple("ConditionCell", "y n lhs_terms rhs_terms holds")):
@@ -237,7 +217,7 @@ def scan(
         fails = np.flatnonzero(~holds)
         n0 = n_min if fails.size == 0 else n[fails[-1]] + 1  # the first n after the last failure
         any_late_hold = any_late_hold or (holds & late).any()
-        if n0 <= n_max and 2 * n0 <= n_max:
+        if 2 * n0 <= n_max:
             certified.append((y, n0))
 
     if certified:

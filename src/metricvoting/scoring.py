@@ -56,7 +56,7 @@ class RuleFamily:
         raise NotImplementedError
 
     def prefix_sum(self, n: int, m: int) -> Fraction:
-        """Sum of scores at positions 0..m-1 (closed form where possible)."""
+        """Sum of scores 0..m-1: one cell of ``_prefix_terms``, kept for callers outside the package."""
         num, den = self._prefix_terms(int_column([n]), int_column([m]))
         return Fraction(num[0], den[0])
 

@@ -13,8 +13,6 @@ from metricvoting.condition import (
     ConditionCell,
     _prefix_sides,
     _vector_sides,
-    condition_sides_family,
-    shifted_sides_family,
 )
 from metricvoting.scoring import (
     Borda,
@@ -36,17 +34,29 @@ ALL_FAMILIES = [
     Dowdall(),
 ]
 
+FAST_PATH_NS = (2, 3, 5, 9, 17, 33, 65, 128)
 # raw integer rows (with ties) for every n the fast-path test visits;
 # normalization divides them by (n-1)^2 + 3*floor((n-1)/2)
 TABLE_FAMILY = TableFamily(rows={
     n: tuple((n - 1 - k) ** 2 + 3 * ((n - 1 - k) // 2) for k in range(n))
-    for n in (2, 3, 5, 9, 17, 33, 65, 128)
+    for n in FAST_PATH_NS
 })
 # the same rows for every n up to 300, for the drawn columns
 WIDE_TABLE = TableFamily(rows={
     n: tuple((n - 1 - k) ** 2 + 3 * ((n - 1 - k) // 2) for k in range(n))
     for n in range(2, 301)
 })
+
+
+def _big(q, n):
+    """ceil(q*(n-1)) in integers."""
+    return -((1 - n) * q.numerator // q.denominator)
+
+
+def _column_sides(family, ns, q, m, slack):
+    """(lhs, rhs, holds) at each n of ns, from one ``_prefix_sides`` column."""
+    (lhs_num, lhs_den), (rhs_num, rhs_den), holds = _prefix_sides(family, int_column(ns), q, m, slack)
+    return [(F(a, b), F(c, d), h) for a, b, c, d, h in zip(lhs_num, lhs_den, rhs_num, rhs_den, holds.tolist())]
 
 
 def test_borda_spot_values():
@@ -102,48 +112,72 @@ def test_shifted_veto_constant_prefix():
 
 
 def test_shifted_offset_overflow():
-    with pytest.raises(ValueError):
-        shifted_sides(Borda().score_vector(20), F(9, 10), 3)
+    vec = Borda().score_vector(20)
+    with pytest.raises(ValueError, match=r"^offset m=3 overflows: m \+ 18 must stay <= n-1=19$"):
+        shifted_sides(vec, F(9, 10), 3)
+    with pytest.raises(ValueError, match=r"^offset m=-1 must be >= 0$"):
+        shifted_sides(vec, F(9, 10), -1)
+    with pytest.raises(ValueError, match=r"^offset m=-1 must be >= 0$"):
+        _prefix_sides(Borda(), int_column([20, 40]), F(9, 10), -1, 2)
+
+
+def test_sides_refuse_one_candidate():
+    vec = Borda().score_vector(1)
+    with pytest.raises(ValueError, match=r"^condition needs n >= 2$"):
+        condition_sides(vec, F(1, 2))
+    with pytest.raises(ValueError, match=r"^condition needs n >= 2$"):
+        shifted_sides(vec, F(9, 10), 0)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES + [TABLE_FAMILY], ids=lambda f: f.spec)
 def test_family_fast_paths_match_generic(family):
-    for n in (2, 3, 5, 9, 17, 33, 65, 128):
-        vec = family.score_vector(n)
-        for y in DEFAULT_Y_GRID:
-            assert condition_sides_family(family, n, y) == condition_sides(vec, y)
-        for z in (F(2, 3), F(5, 6), F(19, 20)):
-            big_z = -((1 - n) * z.numerator // z.denominator)
-            for m in range(0, n - big_z):
-                assert shifted_sides_family(family, n, z, m) == shifted_sides(vec, z, m)
+    # one column per y, and per (z, m) over the n that leave room for m
+    for y in DEFAULT_Y_GRID:
+        for n, sides in zip(FAST_PATH_NS, _column_sides(family, FAST_PATH_NS, y, 0, 1)):
+            lhs, rhs = condition_sides(family.score_vector(n), y)
+            assert sides == (lhs, rhs, lhs > rhs), (n, y)
+    for z in (F(2, 3), F(5, 6), F(19, 20)):
+        for m in range(max(n - _big(z, n) for n in FAST_PATH_NS)):
+            ns = [n for n in FAST_PATH_NS if m < n - _big(z, n)]
+            for n, sides in zip(ns, _column_sides(family, ns, z, m, 2)):
+                lhs, rhs = shifted_sides(family.score_vector(n), z, m)
+                assert sides == (lhs, rhs, lhs > rhs), (n, z, m)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
 def test_holds_monotone_in_y(family):
-    for n in (5, 17, 64, 201):
-        held = False
-        for y in DEFAULT_Y_GRID:  # ascending
-            lhs, rhs = condition_sides_family(family, n, y)
-            if held:
-                assert lhs > rhs, (family.spec, n, y)
-            held = held or lhs > rhs
+    ns = (5, 17, 64, 201)
+    held = dict.fromkeys(ns, False)
+    for y in DEFAULT_Y_GRID:  # ascending
+        for n, sides in zip(ns, _column_sides(family, ns, y, 0, 1)):
+            lhs, rhs = condition_sides(family.score_vector(n), y)
+            assert sides == (lhs, rhs, lhs > rhs), (family.spec, n, y)
+            assert lhs > rhs or not held[n], (family.spec, n, y)
+            held[n] = lhs > rhs
+
+
+# the (n, y, m) cells test_shifted_implication checks, per family
+IMPLICATION_CELLS = {
+    "plurality": 122, "veto": 127, "kapproval:3": 410,
+    "gapproval:1/2": 20553, "borda": 20554, "dowdall": 642,
+}
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.spec)
 def test_shifted_implication(family):
     """Wherever the plain inequality holds at (y, n) with y >= 1/2, the
     shifted variant holds at z = 5/6 + y/6 for every admissible offset m."""
-    for n in range(4, 513):
-        for y in DEFAULT_Y_GRID:
-            lhs, rhs = condition_sides_family(family, n, y)
-            if not lhs > rhs:
-                continue
-            z = F(5, 6) + y / 6
-            big_z = -((1 - n) * z.numerator // z.denominator)
-            m_cap = min(int((1 - z) * n), n - 1 - big_z)
-            for m in range(m_cap + 1):
-                sl, sr = shifted_sides_family(family, n, z, m)
+    ns, checked = range(4, 513), 0
+    for y in DEFAULT_Y_GRID:
+        held = [n for n, (lhs, rhs, _) in zip(ns, _column_sides(family, ns, y, 0, 1)) if lhs > rhs]
+        z = F(5, 6) + y / 6
+        m_cap = {n: min(int((1 - z) * n), n - 1 - _big(z, n)) for n in held}
+        for m in range(max(m_cap.values(), default=-1) + 1):
+            column = [n for n in held if m <= m_cap[n]]
+            for n, (sl, sr, _) in zip(column, _column_sides(family, column, z, m, 2)):
                 assert sl > sr, (family.spec, n, y, m)
+            checked += len(column)
+    assert checked == IMPLICATION_CELLS[family.spec]
 
 
 def test_scan_verdicts_small_horizon():
@@ -256,15 +290,12 @@ def test_scan_columns_match_vectors(family, y, n_min, span):
        m=st.integers(0, 40), n_min=st.integers(2, 300), span=st.integers(0, 20))
 def test_shifted_columns_match_vectors(family, z, m, n_min, span):
     # every n of the column leaves room for offset m: m + ceil(z*(n-1)) <= n-1
-    ns = [n for n in range(n_min, min(300, n_min + span) + 1)
-          if m - ((1 - n) * z.numerator // z.denominator) <= n - 1]
+    ns = [n for n in range(n_min, min(300, n_min + span) + 1) if m + _big(z, n) <= n - 1]
     if not ns:
         return
-    (lhs_num, lhs_den), (rhs_num, rhs_den), holds = _prefix_sides(family, int_column(ns), z, m, 2)
-    for i, n in enumerate(ns):
+    for n, sides in zip(ns, _column_sides(family, ns, z, m, 2)):
         lhs, rhs = _vector_sides(family.score_vector(n), z, m, 2)
-        assert (F(lhs_num[i], lhs_den[i]), F(rhs_num[i], rhs_den[i]), holds[i]) == (lhs, rhs, lhs > rhs)
-        assert shifted_sides_family(family, n, z, m) == (lhs, rhs)
+        assert sides == (lhs, rhs, lhs > rhs), (n, z, m)
 
 
 def _assert_python_int_terms(cells):

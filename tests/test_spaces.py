@@ -1,7 +1,9 @@
 import ast
+import json
 import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,12 +12,14 @@ import pytest
 
 from metricvoting import (
     MetricSpace,
+    build_instance,
     load_space,
     one_median,
     outside_mass,
     random_space,
     save_space,
     social_cost,
+    solve_parameters,
     validate,
 )
 from metricvoting.spaces import SpaceFormatError, SpaceValidationError
@@ -426,3 +430,108 @@ def test_derived_space_distance_dispatch():
     assert space.distance(0, 3) == 2.0
     assert validate(space).ok
     assert math.isclose(social_cost(space, 0), 0.2 * (1 + 2 + 2 + 1))
+
+
+# ---------------------------------------------------------------------------
+# validation reports: a golden file, stored against derived distances
+
+VALIDATE_GOLDEN = Path(__file__).parent / "data" / "validate_golden.json"
+
+
+def _plant(kind, mass, rows):
+    """Plant one kind of violation into ``mass`` and ``rows`` (lists, edited
+    in place) at fixed places; sized 2^-(20 + P) where the entries are exact,
+    which the 40-point lines scale past an int64 and their float copies round
+    away, and 1e-3 where they are floats."""
+    p, exact = len(rows), isinstance(rows[0][1], F)
+    tiny = F(1, 2 ** (20 + p)) if exact else 1e-3
+    if kind == "diagonal":
+        rows[p - 1][p - 1] = tiny
+    elif kind == "asymmetry":
+        rows[p - 1][0] += tiny
+    elif kind == "negative-distance":
+        rows[0][p - 1] = rows[p - 1][0] = -tiny
+    elif kind == "triangle":  # d(0, P-1) past its shortest detour
+        detour = min(rows[0][b] + rows[b][p - 1] for b in range(1, p - 1))
+        rows[0][p - 1] = rows[p - 1][0] = detour + tiny
+    elif kind == "mass-negative":
+        mass[0], mass[1] = -mass[0], mass[1] + 2 * mass[0]
+    elif kind == "mass-sum":
+        mass[0] *= 2
+    elif kind == "many":  # more witnesses of each kind than a report lists
+        for i in range(p):
+            rows[i][i] = tiny
+            for j in range(i):
+                rows[i][j] = -rows[i][j] if (i + j) % 2 else rows[i][j] + tiny
+    elif kind in ("nan", "inf"):
+        rows[0][1] = rows[1][0] = rows[p - 2][p - 1] = float(kind)
+
+
+_DISTANCE_PLANTS = ("clean", "diagonal", "asymmetry", "negative-distance", "triangle")
+_MASS_PLANTS = ("mass-negative", "mass-sum")
+#: points -> (caps, exact plants, float plants): sampled at cap 0 and
+#: exhaustive at cap 3 = P; at 40 points, sampled at cap 3 and exhaustive at
+#: cap 300
+GOLDEN_SIZES = {
+    3: ((0, 3), _DISTANCE_PLANTS, _DISTANCE_PLANTS + ("nan", "inf")),
+    12: ((300,), _DISTANCE_PLANTS + ("many",) + _MASS_PLANTS, _DISTANCE_PLANTS + ("nan", "inf") + _MASS_PLANTS),
+    40: ((3, 300), ("triangle",), ("triangle",)),
+}
+
+
+def _golden_corpus():
+    """(name, space, caps) triples: exact lines and float boxes with each
+    planted violation, stored and, but for mass plants, as the same float
+    matrix behind a ``block_fn``; and a desk-scale two-cluster instance."""
+    for p, (caps, *plants) in GOLDEN_SIZES.items():
+        rng = np.random.default_rng([p, 11])
+        at = np.sort(rng.integers(0, 64, p)).tolist()
+        weights = rng.integers(1, 9, p).tolist()
+        box = random_space(p, p, "uniform-box-L2")
+        bases = {
+            "exact": ([F(w, sum(weights)) for w in weights], [[F(abs(a - b)) for b in at] for a in at]),
+            "float": (box.mass.tolist(), box.matrix.tolist()),
+        }
+        for (base, (mass0, rows0)), kinds in zip(bases.items(), plants):
+            for kind in kinds:
+                mass, rows = list(mass0), [list(r) for r in rows0]
+                _plant(kind, mass, rows)
+                name = f"{base}-P{p}-{kind}"
+                yield name, MetricSpace(mass, matrix=rows if base == "exact" else np.array(rows)), caps
+                if not kind.startswith("mass"):
+                    matrix = np.array(rows, dtype=float)
+                    space = MetricSpace(np.array(mass, dtype=float), block_fn=lambda i, j, m=matrix: m[i, j])
+                    yield name + "-block", space, caps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n and N below the paper's floors
+        params = solve_parameters(1.25, n_override=12, big_n_override=256, m_atoms=32)
+    yield "two-cluster-N256-M32", build_instance(params, seed=5).space, (3, 300)
+
+
+def _magnitude_text(value):
+    return f"{value.numerator}/{value.denominator}" if isinstance(value, F) else repr(value)
+
+
+def _golden_reports():
+    """Every corpus space's report at each golden cap, in JSON form: kinds,
+    witnesses in order, magnitudes (an exact one as p/q, a float as its
+    repr), checked triples and exhaustiveness."""
+    reports = []
+    for name, space, caps in _golden_corpus():
+        for cap in caps:
+            report = validate(space, triple_cap=cap)
+            reports.append({
+                "space": name, "cap": cap, "checked_triples": report.checked_triples,
+                "exhaustive": report.exhaustive,
+                "violations": [[v.kind, list(v.witness), _magnitude_text(v.magnitude)] for v in report.violations],
+            })
+    return reports
+
+
+def test_validation_matches_recorded_reports():
+    want = json.loads(VALIDATE_GOLDEN.read_text())["reports"]
+    got = _golden_reports()
+    assert [(r["space"], r["cap"]) for r in got] == [(r["space"], r["cap"]) for r in want]
+    for g, w in zip(got, want):
+        assert g == w, (w["space"], w["cap"])
+    assert sum(not r["violations"] for r in want) > 0 and sum(bool(r["violations"]) for r in want) > 0

@@ -304,7 +304,7 @@ def sufficiency_probe(
     median_index = one_median(space)
     dist_from_o = space.distances_from(median_index)
     batches = ((slates, dist_from_o[w]) for _, slates, w, _, _, _ in _trials(space, vector, seed, 0, trials))
-    return _probe(space, median_index, z, n, trials, batches)
+    return _probe(space, median_index, dist_from_o, z, n, trials, batches)
 
 
 def probe_estimate(space: MetricSpace, estimate: Estimate, z) -> SufficiencyCheck:
@@ -315,13 +315,15 @@ def probe_estimate(space: MetricSpace, estimate: Estimate, z) -> SufficiencyChec
     start = estimate.trial_start
     batches = ((slates, estimate.winner_distances[trials.start - start : trials.stop - start])
                for trials, slates in _slate_batches(space, estimate.n, estimate.seed, start, estimate.trials))
-    return _probe(space, one_median(space), z, estimate.n, estimate.trials, batches)
-
-
-def _probe(space, median_index, z, n, trials, batches) -> SufficiencyCheck:
-    """The probe's counts over ``trials`` trials of n candidates, given as
-    batches of (slates, winner distances from the 1-median)."""
+    median_index = one_median(space)
     dist_from_o = space.distances_from(median_index)
+    return _probe(space, median_index, dist_from_o, z, estimate.n, estimate.trials, batches)
+
+
+def _probe(space, median_index, dist_from_o, z, n, trials, batches) -> SufficiencyCheck:
+    """The probe's counts over ``trials`` trials of n candidates, given as
+    batches of (slates, winner distances from the 1-median), where
+    ``dist_from_o`` is the 1-median's row of distances."""
     knots = np.unique(dist_from_o)
     ball_mass = np.array([float(space.mass[dist_from_o <= r].sum()) for r in knots])
 

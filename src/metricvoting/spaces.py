@@ -262,12 +262,14 @@ def validate(
 ) -> ValidationReport:
     """Check the metric axioms and mass normalization; report, never raise.
 
-    All pairs and triples are checked when the space has at most
-    ``triple_cap`` points, a derived space's distances read as one P x P
-    ``dist_block``; otherwise a fixed-seed sample of
-    ``DEFAULT_TRIANGLE_SAMPLES`` triples is drawn (and, on a derived space,
-    as many pairs).  Exact spaces are checked in exact arithmetic, every
-    axiom over their distances scaled to integers (``MetricSpace.scaled``).
+    One set of checks reads ``dist(i, j)`` and two witness lists, the
+    asymmetric and the negative pairs: of every pair of a stored matrix or
+    of a derived space of at most ``triple_cap`` points (one P x P
+    ``dist_block``), else of a fixed-seed sample of as many pairs as
+    ``DEFAULT_TRIANGLE_SAMPLES``.  A derived space lists an asymmetric pair
+    in both orders.  Triples are all checked up to ``triple_cap`` points,
+    else sampled.  Exact spaces are checked in exact arithmetic, every axiom
+    over their distances scaled to integers (``MetricSpace.scaled``).
     """
     violations = []
     npts = space.npoints
@@ -283,57 +285,43 @@ def validate(
         for i in np.nonzero(space.mass < 0)[0][:16]:
             violations.append(Violation("mass-negative", (int(i),), float(space.mass[i])))
         err = abs(float(space.mass.sum()) - 1.0)
-        if err > _MASS_SUM_TOL:
+        if not err <= _MASS_SUM_TOL:  # a NaN mass makes a NaN sum
             violations.append(Violation("mass-sum", (), err))
 
-    checked = 0
-    exhaustive = True
     mat, scale, tol = space.matrix, None, _FLOAT_TRIANGLE_TOL
-    derived = mat is None
-    if derived and npts <= triple_cap:  # one P x P block checks every pair and triple
+    if mat is None and npts <= triple_cap:  # one P x P block checks every pair and triple
         at = np.arange(npts)
         mat = space.dist_block(at[:, None], at)
-    if mat is not None:
+    if mat is None:  # a fixed-seed sample of pairs
+        rng = np.random.default_rng([0, npts, 7])
+        a = rng.integers(0, npts, size=DEFAULT_TRIANGLE_SAMPLES)
+        b = rng.integers(0, npts, size=a.size)
+        dab, pairs = space.dist_block(a, b), np.column_stack((a, b))
+        dist, asym, neg = space.dist_block, pairs[dab != space.dist_block(b, a)], pairs[dab < 0]
+    else:
         if space.exact:
             _, _, mat, scale = space.scaled
             tol = 0
             if 3 * np.abs(mat).max() < 2**63:  # a triangle check's three-entry sums fit an int64
                 mat = mat.astype(np.int64)
-        for i in np.nonzero(np.diagonal(mat) != 0)[0][:16]:
-            violations.append(Violation("diagonal", (int(i),), _magnitude(mat[i, i], scale)))
-        asym = np.argwhere(mat != mat.T)
-        for i, j in asym[:16]:
-            if i < j or derived:  # a block_fn's two orders are two computations
-                magnitude = _magnitude(mat[i, j] - mat[j, i], scale)
-                violations.append(Violation("asymmetry", (int(i), int(j)), magnitude))
-        neg = np.argwhere(mat < 0)
-        for i, j in neg[:16]:
-            violations.append(Violation("negative-distance", (int(i), int(j)), _magnitude(mat[i, j], scale)))
+        dist, asym, neg = (lambda i, j: mat[i, j]), np.argwhere(mat != mat.T), np.argwhere(mat < 0)
 
-        if npts <= triple_cap:
-            checked = npts**3
+    diag = np.arange(min(npts, 1 << 21))
+    for i in np.nonzero(dist(diag, diag) != 0)[0][:16]:
+        violations.append(Violation("diagonal", (int(i),), _magnitude(dist(i, i), scale)))
+    for i, j in asym[:16]:
+        if i < j or space.matrix is None:  # a block_fn's two orders are two computations
+            magnitude = _magnitude(dist(i, j) - dist(j, i), scale)
+            violations.append(Violation("asymmetry", (int(i), int(j)), magnitude))
+    for i, j in neg[:16]:
+        violations.append(Violation("negative-distance", (int(i), int(j)), _magnitude(dist(i, j), scale)))
+    exhaustive = npts <= triple_cap
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: a triangle that holds
+        if exhaustive:
             violations.extend(_triangle_scan(mat, tol, scale))
         else:
-            exhaustive = False
-            checked = DEFAULT_TRIANGLE_SAMPLES
-            violations.extend(_sampled_triangle(npts, lambda i, j: mat[i, j], tol, scale))
-    else:
-        diag_idx = np.arange(min(npts, 1 << 21))
-        bad_diag = np.nonzero(space.dist_block(diag_idx, diag_idx) != 0.0)[0]
-        for i in bad_diag[:16]:
-            violations.append(Violation("diagonal", (int(i),), float(space.distance(int(i), int(i)))))
-        rng = np.random.default_rng([0, npts, 7])
-        a = rng.integers(0, npts, size=DEFAULT_TRIANGLE_SAMPLES)
-        b = rng.integers(0, npts, size=a.size)
-        dab, dba = space.dist_block(a, b), space.dist_block(b, a)
-        for idx in np.nonzero(dab != dba)[0][:16]:
-            violations.append(Violation("asymmetry", (int(a[idx]), int(b[idx])), float(dab[idx] - dba[idx])))
-        for idx in np.nonzero(dab < 0)[0][:16]:
-            violations.append(Violation("negative-distance", (int(a[idx]), int(b[idx])), float(dab[idx])))
-        exhaustive = False
-        checked = DEFAULT_TRIANGLE_SAMPLES
-        violations.extend(_sampled_triangle(npts, space.dist_block, _FLOAT_TRIANGLE_TOL, None))
-
+            violations.extend(_sampled_triangle(npts, dist, tol, scale))
+    checked = npts**3 if exhaustive else DEFAULT_TRIANGLE_SAMPLES
     return ValidationReport(tuple(violations), checked, exhaustive)
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricvoting import (
     MetricSpace,
@@ -535,3 +537,64 @@ def test_validation_matches_recorded_reports():
     for g, w in zip(got, want):
         assert g == w, (w["space"], w["cap"])
     assert sum(not r["violations"] for r in want) > 0 and sum(bool(r["violations"]) for r in want) > 0
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["stored", "derived"])
+def test_nan_mass_is_reported(derived):
+    # NaN < 0 and |NaN - 1| > tol are both False; a file cannot hold a NaN
+    matrix = np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    mass = np.array([np.nan, 0.5, 0.5])
+    if derived:
+        space = MetricSpace(mass, block_fn=lambda i, j: matrix[i, j])
+    else:
+        space = MetricSpace(mass, matrix=matrix)
+    report = validate(space)
+    assert [(v.kind, v.witness) for v in report.violations] == [("mass-sum", ())]
+    assert math.isnan(report.violations[0].magnitude)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cap", [0, 300], ids=["sampled", "exhaustive"])
+def test_infinite_distances_validate_without_warnings(cap):
+    # inf - inf is NaN in a triangle check, a triangle that holds; d(0, 1) =
+    # inf still exceeds its detour through 2
+    inf = np.inf
+    space = MetricSpace(np.full(3, 1 / 3), matrix=np.array([[0, inf, 1], [inf, 0, 1], [1, 1, 0]]))
+    report = validate(space, triple_cap=cap)
+    assert {(v.kind, v.witness, v.magnitude) for v in report.violations} == \
+        {("triangle", (0, 2, 1), inf), ("triangle", (1, 2, 0), inf)}
+
+
+def _witnesses(report):
+    found = {}
+    for v in report.violations:
+        found.setdefault(v.kind, set()).add(v.witness)
+    return found
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_stored_and_derived_matrices_report_alike(data):
+    # points on a line with positive diagonal entries and at most one raised,
+    # one asymmetric and one negative pair: under 9 points, a sampled pair
+    # check sees both orders of one bad pair among its first 16 hits
+    at = data.draw(st.lists(st.integers(0, 9), min_size=2, max_size=6))
+    p = len(at)
+    matrix = np.abs(np.subtract.outer(at, at)).astype(float)
+    for k in data.draw(st.sets(st.integers(0, p - 1))):
+        matrix[k, k] = 0.5
+    pair = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(lambda ij: ij[0] != ij[1])
+    raised, asymmetric, negative = (data.draw(st.none() | pair) for _ in range(3))
+    if raised:
+        matrix[raised] = matrix[raised[::-1]] = matrix[raised] + 5
+    if asymmetric:
+        matrix[asymmetric] += 0.25
+    if negative:
+        matrix[negative] = matrix[negative[::-1]] = -1.0
+    mass = np.full(p, 1 / p)
+    for cap in (0, 3, 300):
+        stored = _witnesses(validate(MetricSpace(mass, matrix=matrix), triple_cap=cap))
+        derived = _witnesses(validate(MetricSpace(mass, block_fn=lambda i, j: matrix[i, j]), triple_cap=cap))
+        if "asymmetry" in stored:  # a block_fn's two orders are two computations
+            stored["asymmetry"] |= {(j, i) for i, j in stored["asymmetry"]}
+        assert derived == stored, cap

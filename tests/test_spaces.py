@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from metricvoting import (
     solve_parameters,
     validate,
 )
-from metricvoting.spaces import SpaceFormatError, SpaceValidationError
+from metricvoting.spaces import SpaceFormatError, SpaceValidationError, _format_number
 
 
 def test_line_space_validates(line_space):
@@ -315,6 +316,15 @@ def test_random_space_deterministic():
         assert np.array_equal(a.matrix, b.matrix)
         c = random_space(8, 6, mode)
         assert not np.array_equal(a.matrix, c.matrix)
+    # the exact iid mode's numbers, pinned by a digest of their file form
+    digest = hashlib.sha256()
+    cases = [(seed, P) for seed in range(50) for P in [*range(1, 13), 40]] + [(0, 301), (1, 301)]
+    for seed, P in cases:
+        space = random_space(seed, P, "iid-unit-interval-distances")
+        digest.update(" ".join(map(_format_number, space.mass_exact)).encode() + b"\n")
+        for row in space.matrix_exact:
+            digest.update(" ".join(map(_format_number, row)).encode() + b"\n")
+    assert digest.hexdigest() == "3b5932038fc1bc4fa61b608a8f7846c47e3df1c71bba6848a02972b2d9d53b9b"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])

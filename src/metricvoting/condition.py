@@ -14,8 +14,9 @@ are exact rational arithmetic, computed once from the materialized scores
 latter works on columns: for one y it takes every n of a scan at once, as
 numpy object arrays of Python ints (never int64, whose products overflow),
 and gives each side as an integer (num, den) pair per n.  A scan's cells are
-slotted tuples that keep those pairs unreduced and build a reduced Fraction
-only when a side is read.  A scan can only certify a finite horizon, and its
+flat slotted tuples that keep each side's numerator and denominator
+unreduced, straight from the columns, and build a reduced Fraction only when
+a side is read.  A scan can only certify a finite horizon, and its
 verdict says so explicitly.
 """
 
@@ -125,16 +126,20 @@ def shifted_sides(vector: ScoringVector, z, m: int) -> Tuple[Fraction, Fraction]
     return _vector_sides(vector, z, m, 2)
 
 
-class ConditionCell(namedtuple("ConditionCell", "y n lhs_terms rhs_terms holds")):
-    """One scanned (y, n): ``lhs_terms``/``rhs_terms`` are the unreduced (num, den)
-    pairs over den > 0 that ``lhs``/``rhs`` reduce on read, and ``holds`` is
-    lhs > rhs, strictly: ties count as failure.  A slotted tuple, so it has
-    no per-instance ``__dict__`` and is cheap to build."""
+class ConditionCell(namedtuple("ConditionCell", "y n lhs_num lhs_den rhs_num rhs_den holds")):
+    """One scanned (y, n): each side an unreduced integer pair over a positive
+    denominator, ``lhs_num``/``lhs_den`` and ``rhs_num``/``rhs_den``, that
+    ``lhs``/``rhs`` reduce to a Fraction on read (``lhs_terms``/``rhs_terms``
+    give the pairs), and ``holds`` is lhs > rhs, strictly: ties count as
+    failure.  One flat slotted tuple, so it has no per-instance ``__dict__``,
+    no nested tuples, and is cheap to build."""
 
     __slots__ = ()
 
-    lhs = property(lambda self: Fraction(*self.lhs_terms))
-    rhs = property(lambda self: Fraction(*self.rhs_terms))
+    lhs_terms = property(lambda self: (self.lhs_num, self.lhs_den))
+    rhs_terms = property(lambda self: (self.rhs_num, self.rhs_den))
+    lhs = property(lambda self: Fraction(self.lhs_num, self.lhs_den))
+    rhs = property(lambda self: Fraction(self.rhs_num, self.rhs_den))
 
     def _key(self) -> tuple:  # equality and hash go by the reduced sides
         return self.y, self.n, self.lhs, self.rhs, self.holds
@@ -154,7 +159,7 @@ class ConditionCell(namedtuple("ConditionCell", "y n lhs_terms rhs_terms holds")
         return hash(self._key())
 
 
-_new_cell = partial(tuple.__new__, ConditionCell)  # from one (y, n, lhs_terms, rhs_terms, holds) tuple
+_new_cell = partial(tuple.__new__, ConditionCell)  # from one tuple of the seven fields
 
 
 @dataclass(frozen=True)
@@ -213,7 +218,7 @@ def scan(
     late = 2 * n >= n_max
     for y in y_grid:
         (lhs_num, lhs_den), (rhs_num, rhs_den), holds = _prefix_sides(family, n, y, 0, 1, total)
-        cells += map(_new_cell, zip(repeat(y), n, zip(lhs_num, lhs_den), zip(rhs_num, rhs_den), holds.tolist()))
+        cells += map(_new_cell, zip(repeat(y), n, lhs_num, lhs_den, rhs_num, rhs_den, holds.tolist()))
         fails = np.flatnonzero(~holds)
         n0 = n_min if fails.size == 0 else n[fails[-1]] + 1  # the first n after the last failure
         any_late_hold = any_late_hold or (holds & late).any()

@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .scoring import ScoringVector, parse_family
-from .spaces import MetricSpace, _int_dtype, _scaled_integers, random_space
+from .spaces import MetricSpace, _int_dtype, random_space
 
 #: location x slate x candidate elements per pass and per batch of slates
 #: (at least one location and one slate): it sizes every kernel buffer, so
@@ -286,7 +286,7 @@ def run_election(
         exact = space.exact
     if exact and not space.exact:
         raise ValueError("exact election requires an exact space")
-    scores, score_scale = _scaled_integers(vector.scores) if exact else (vector.float_scores, 1)
+    scores, score_scale = vector.scaled if exact else (vector.float_scores, 1)
     scores, costs, winners, optima = _elect(*_kernel_space(space, exact), scores, slate[None])
     scores, costs = scores[0].tolist(), costs[0].tolist()
     if exact:  # divide the scales out

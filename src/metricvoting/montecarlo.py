@@ -28,7 +28,7 @@ import numpy as np
 from ._hash import trial_uniforms
 from .elections import INFINITE, _batch_step, _distortion, _elect, _kernel_space, _location_costs, one_median
 from .scoring import RuleFamily
-from .spaces import MetricSpace, _scaled_integers
+from .spaces import MetricSpace
 
 _ENUMERATION_CAP = 1_000_000
 
@@ -212,7 +212,7 @@ def exact_expected_distortion(space: MetricSpace, family: RuleFamily, n: int):
     lookup, mass, _ = _kernel_space(space, space.exact)
     cost = _location_costs(space, range(npts))
     vector = family.score_vector(n)
-    scores = _scaled_integers(vector.scores)[0] if space.exact else vector.float_scores
+    scores = vector.scaled[0] if space.exact else vector.float_scores
     # a slate's distortion depends only on the costs of its winner's and its
     # optimum's locations: sum the slate probabilities (times mass scale^n
     # on exact spaces) by winner location * P + optimum location

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .spaces import parse_number
+from .spaces import _scaled_integers, parse_number
 
 Rational = Union[int, Fraction]
 
@@ -26,7 +27,9 @@ class ScoringVector:
     scores are exact rationals, non-increasing, with scores[0] == 1 and
     scores[n-1] == 0.  The degenerate n == 1 vector (1,) is permitted so a
     single-candidate election is representable.  ``float_scores`` is the
-    read-only float64 copy the float election path consumes.
+    read-only float64 copy the float election path consumes, and ``scaled``
+    the exact path's read-only integer scores with their scale; neither takes
+    part in ``==``, hash or repr.
     """
 
     n: int
@@ -45,6 +48,16 @@ class ScoringVector:
         floats = np.array([float(s) for s in self.scores])
         floats.setflags(write=False)
         object.__setattr__(self, "float_scores", floats)
+
+    @cached_property
+    def scaled(self):
+        """(scores, scale): the scores times the LCM of their denominators as
+        Python ints (``_scaled_integers``), computed on the first read (an
+        lcm over a large Dowdall vector is costly, and float paths never
+        read it)."""
+        scores, scale = _scaled_integers(self.scores)
+        scores.setflags(write=False)
+        return scores, scale
 
 
 class RuleFamily:

@@ -266,9 +266,9 @@ def validate(
     asymmetric and the negative pairs: of every pair of a stored matrix or
     of a derived space of at most ``triple_cap`` points (one P x P
     ``dist_block``), else of a fixed-seed sample of as many pairs as
-    ``DEFAULT_TRIANGLE_SAMPLES``.  A derived space lists an asymmetric pair
-    in both orders.  Triples are all checked up to ``triple_cap`` points,
-    else sampled.  Exact spaces are checked in exact arithmetic, every axiom
+    ``DEFAULT_TRIANGLE_SAMPLES``, each sampled pair or triple listed once.
+    A derived space lists an asymmetric pair in both orders.  Triples are all
+    checked up to ``triple_cap`` points, else sampled.  Exact spaces are checked in exact arithmetic, every axiom
     over their distances scaled to integers (``MetricSpace.scaled``).
     """
     violations = []
@@ -297,7 +297,8 @@ def validate(
         a = rng.integers(0, npts, size=DEFAULT_TRIANGLE_SAMPLES)
         b = rng.integers(0, npts, size=a.size)
         dab, pairs = space.dist_block(a, b), np.column_stack((a, b))
-        dist, asym, neg = space.dist_block, pairs[dab != space.dist_block(b, a)], pairs[dab < 0]
+        asym, neg = pairs[dab != space.dist_block(b, a)], pairs[dab < 0]
+        dist, asym, neg = space.dist_block, asym[_first_seen(asym)], neg[_first_seen(neg)]
     else:
         if space.exact:
             _, _, mat, scale = space.scaled
@@ -332,8 +333,16 @@ def _sampled_triangle(npoints: int, dist_block, tol, scale):
     rng = np.random.default_rng([0, npoints, 13])
     a, b, c = (rng.integers(0, npoints, size=DEFAULT_TRIANGLE_SAMPLES) for _ in range(3))
     excess = dist_block(a, c) - dist_block(a, b) - dist_block(b, c)
+    bad = np.flatnonzero(excess > tol)
+    bad = bad[_first_seen(np.column_stack((a[bad], b[bad], c[bad])))]
     return [Violation("triangle", (int(a[idx]), int(b[idx]), int(c[idx])), _magnitude(excess[idx], scale))
-            for idx in np.nonzero(excess > tol)[0][:16]]
+            for idx in bad[:16]]
+
+
+def _first_seen(rows: np.ndarray) -> np.ndarray:
+    """The index of each distinct row's first occurrence, in order: a sampled
+    witness counts once however often it is drawn."""
+    return np.sort(np.unique(rows, axis=0, return_index=True)[1])
 
 
 def outside_mass(space: MetricSpace, center: int, r):
@@ -524,7 +533,10 @@ def random_space(seed: int, npoints: int, mode: str) -> MetricSpace:
     total = int(weights.sum())
     mass = [Fraction(int(w), total) for w in weights]
     rows = [[Fraction(0)] * npoints for _ in range(npoints)]
+    # the distances below the diagonal row by row, in one draw: PCG64 keeps a
+    # draw's spare 32-bit half for the next call, so it equals P-1 row draws
+    draws = iter(rng.integers(0, denom, size=npoints * (npoints - 1) // 2).tolist())
     for i in range(1, npoints):
-        for j, draw in enumerate(rng.integers(0, denom, size=i).tolist()):
-            rows[i][j] = rows[j][i] = Fraction(denom + draw, denom)
+        for j in range(i):
+            rows[i][j] = rows[j][i] = Fraction(denom + next(draws), denom)
     return MetricSpace(mass, matrix=rows, label=label)

@@ -224,9 +224,14 @@ def test_scan_cells_hold_no_instance_dict():
     assert not hasattr(cells[0], "__dict__")
     assert pickle.loads(pickle.dumps(cells)) == cells
     # immutable, and a pickled cell keeps its class and every raw field
-    for name in ConditionCell._fields + ("lhs", "extra"):
+    for name in ConditionCell._fields + ("lhs", "lhs_terms", "rhs_terms", "extra"):
         with pytest.raises(AttributeError):
             setattr(cells[0], name, None)
+    # one flat tuple: the pairs are read from its integer fields
+    for cell in cells:
+        assert not any(isinstance(field, tuple) for field in cell)
+        assert cell.lhs_terms == (cell.lhs_num, cell.lhs_den)
+        assert cell.rhs_terms == (cell.rhs_num, cell.rhs_den)
     for cell, back in zip(cells, pickle.loads(pickle.dumps(cells))):
         assert type(back) is ConditionCell
         assert (back.y, back.n, back.lhs_terms, back.rhs_terms, back.holds) == \

@@ -16,6 +16,7 @@ from metricvoting.scoring import (
     TableFamily,
     Veto,
 )
+from metricvoting.spaces import _scaled_integers
 
 ALL_FAMILIES = [
     Plurality(),
@@ -53,6 +54,18 @@ def test_score_vectors_are_shared_and_their_memo_is_bounded():
     assert again == first and again.float_scores.tobytes() == first.float_scores.tobytes()
     with pytest.raises(ValueError, match="n must be >= 1"):
         family.score_vector(0)
+    # the exact path's integer scores: read-only, computed once per vector,
+    # and no part of ==, hash or repr
+    table = TableFamily(rows={n: tuple(F(1, k + 1) for k in range(n)) for n in range(2, 65)})
+    for fam in ALL_FAMILIES + [table]:
+        for n in range(2 if fam is table else 1, 65):
+            vec = fam.score_vector(n)
+            scores, scale = vec.scaled
+            want, want_scale = _scaled_integers(vec.scores)
+            assert scale == want_scale and scores.dtype == object and scores.tolist() == want.tolist()
+            assert vec.scaled[0] is scores and not scores.flags.writeable
+            fresh = ScoringVector(n, vec.scores)
+            assert vec == fresh and hash(vec) == hash(fresh) and repr(vec) == repr(fresh)
 
 
 def test_gamma_approval_floor():

@@ -127,12 +127,12 @@ def shifted_sides(vector: ScoringVector, z, m: int) -> Tuple[Fraction, Fraction]
 
 
 class ConditionCell(namedtuple("ConditionCell", "y n lhs_num lhs_den rhs_num rhs_den holds")):
-    """One scanned (y, n): each side an unreduced integer pair over a positive
-    denominator, ``lhs_num``/``lhs_den`` and ``rhs_num``/``rhs_den``, that
-    ``lhs``/``rhs`` reduce to a Fraction on read (``lhs_terms``/``rhs_terms``
-    give the pairs), and ``holds`` is lhs > rhs, strictly: ties count as
-    failure.  One flat slotted tuple, so it has no per-instance ``__dict__``,
-    no nested tuples, and is cheap to build."""
+    """One scanned (y, n): each side an unreduced integer pair over den > 0,
+    ``lhs_num``/``lhs_den`` and ``rhs_num``/``rhs_den``, that ``lhs``/``rhs``
+    reduce to a Fraction on read and ``lhs_terms``/``rhs_terms`` return as
+    pairs; ``holds`` is lhs > rhs, strictly: ties count as failure.  One flat
+    slotted tuple, with no per-instance ``__dict__`` and no nested tuples, so
+    it is cheap to build and to keep."""
 
     __slots__ = ()
 

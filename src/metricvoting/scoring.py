@@ -51,10 +51,8 @@ class ScoringVector:
 
     @cached_property
     def scaled(self):
-        """(scores, scale): the scores times the LCM of their denominators as
-        Python ints (``_scaled_integers``), computed on the first read (an
-        lcm over a large Dowdall vector is costly, and float paths never
-        read it)."""
+        """(scores, scale) of ``_scaled_integers``, on first read: float paths
+        never pay its lcm, which is costly on a large Dowdall vector."""
         scores, scale = _scaled_integers(self.scores)
         scores.setflags(write=False)
         return scores, scale

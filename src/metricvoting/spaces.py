@@ -266,10 +266,11 @@ def validate(
     asymmetric and the negative pairs: of every pair of a stored matrix or
     of a derived space of at most ``triple_cap`` points (one P x P
     ``dist_block``), else of a fixed-seed sample of as many pairs as
-    ``DEFAULT_TRIANGLE_SAMPLES``, each sampled pair or triple listed once.
-    A derived space lists an asymmetric pair in both orders.  Triples are all
-    checked up to ``triple_cap`` points, else sampled.  Exact spaces are checked in exact arithmetic, every axiom
-    over their distances scaled to integers (``MetricSpace.scaled``).
+    ``DEFAULT_TRIANGLE_SAMPLES``.  A derived space lists an asymmetric pair
+    in both orders.  Triples are all checked up to ``triple_cap`` points,
+    else sampled; a sampled pair or triple is listed once.  Exact spaces are
+    checked in exact arithmetic, every axiom over their distances scaled to
+    integers (``MetricSpace.scaled``).
     """
     violations = []
     npts = space.npoints
